@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 SERVESMOKE_OUT ?= smoke-artifacts
 DISTSMOKE_OUT ?= distsmoke-artifacts
 
-.PHONY: build vet test race determinism doccheck verify bench benchdiff fuzz servesmoke distsmoke
+.PHONY: build vet test race determinism doccheck verify bench benchdiff fuzz perfbench-test servesmoke distsmoke
 
 build:
 	$(GO) build ./...
@@ -25,10 +25,10 @@ race:
 
 # determinism proves the campaign contract under the race detector:
 # rendered experiment bytes are identical at 1 and 8 workers, the
-# runner's and the stealing pool's synthetic grids agree across worker
-# counts, and the distributed fabric produces byte-identical canonical
-# envelopes for standalone, 1-, 2- and 4-worker-node topologies
-# (SCALING.md has the argument).
+# stealing pool's synthetic grids match a serial reference at every
+# worker count, and the distributed fabric produces byte-identical
+# canonical envelopes for standalone, 1-, 2- and 4-worker-node
+# topologies (SCALING.md has the argument).
 determinism:
 	$(GO) test -race -run 'Determinism' ./internal/campaign ./internal/experiments ./internal/serve
 
@@ -45,7 +45,8 @@ verify: build vet test race determinism doccheck
 # fuzz gives each native fuzz target a short budget on top of the
 # checked-in seed corpus: the differential oracle (random command
 # traces through fast and reference substrates), the dram sampler /
-# pTRR table policies against naive mirrors, and the trace-replay codec
+# pTRR table policies against naive mirrors, the compiled hammer
+# payload against the interpreted engine, and the trace-replay codec
 # (arbitrary bytes must decode to typed errors or replayable files,
 # never panic). Override FUZZTIME for a longer soak, e.g.
 # `make fuzz FUZZTIME=5m`.
@@ -54,7 +55,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTRRSampler$$' -fuzztime $(FUZZTIME) ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzPTRRTable$$' -fuzztime $(FUZZTIME) ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzChainPlan$$' -fuzztime $(FUZZTIME) ./internal/chain
+	$(GO) test -run '^$$' -fuzz '^FuzzPayloadDifferential$$' -fuzztime $(FUZZTIME) ./internal/hammer
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME) ./internal/replay
+
+# perfbench-test runs the repository benchmark's own tests. perfbench
+# is a separate Go module (it imports this one through a replace
+# directive), so `go test ./...` here never compiles it, yet it calls
+# the campaign and serve APIs directly.
+perfbench-test:
+	cd perfbench && $(GO) test -race -short .
 
 # bench regenerates the machine-readable benchmark snapshot
 # (BENCH_<date>.json); see cmd/bench for flags.

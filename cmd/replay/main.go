@@ -31,6 +31,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -83,7 +84,7 @@ func main() {
 		// The exact serve code path: the trace as a one-cell campaign
 		// spec, run and exported canonically.
 		spec := replay.Spec(f)
-		out, err := campaign.Runner{Workers: 1}.Run(spec)
+		out, err := campaign.Run(context.Background(), spec, 1, campaign.RunOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

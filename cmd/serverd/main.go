@@ -14,9 +14,10 @@
 //	        [-drain-grace D]
 //
 // Jobs are admitted with POST /v1/jobs (a registered spec name or an
-// inline cell grid), execute on a pool of -shards concurrent campaign
-// runners with at most -queue jobs waiting (beyond that POST returns
-// 429 with Retry-After), and are polled via GET /v1/jobs/{id}. The
+// inline cell grid), run -shards at a time with their cells sharing
+// one work-stealing cell pool, with at most -queue jobs waiting
+// (beyond that POST returns 429 with Retry-After), and are polled via
+// GET /v1/jobs/{id}. The
 // result endpoint serves the canonical envelope — byte-identical to
 // `experiments -json -canon -only <spec>` at the same seed and scale.
 //
@@ -86,7 +87,7 @@ func main() {
 	coordinator := flag.String("coordinator", "", "worker: coordinator base URL, e.g. http://127.0.0.1:8077")
 	workerName := flag.String("worker-name", "", "worker: label shown in GET /v1/workers and manifests")
 	poll := flag.Duration("poll", 200*time.Millisecond, "worker: sleep between lease attempts when the coordinator has no work")
-	parallel := flag.Int("parallel", 0, "worker: cell concurrency within a leased batch (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "worker: size of the cell pool that runs every leased batch (0 = GOMAXPROCS)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "worker: how long the first signal waits for the current lease before abandoning it")
 	flag.Parse()
 

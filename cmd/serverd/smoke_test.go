@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -170,8 +171,8 @@ func TestServeSmoke(t *testing.T) {
 
 	// One trace-replay job: record a deterministic ACT/REF trace from an
 	// instrumented device, POST it through the real binary's /v1/replay,
-	// and golden-diff the served verdict envelope against the in-process
-	// Runner over the same decoded trace. The trace and the served
+	// and golden-diff the served verdict envelope against an in-process
+	// campaign.Run over the same decoded trace. The trace and the served
 	// envelope both land in the artifact directory. Submitted exactly
 	// once, so the cache-hit metric asserted below stays at 1.
 	const replaySeed = 42
@@ -200,7 +201,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	replaySpec := replay.Spec(f)
-	replayOut, err := campaign.Runner{Workers: 1}.Run(replaySpec)
+	replayOut, err := campaign.Run(context.Background(), replaySpec, 1, campaign.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("GET replay result = %d: %s", code, replayResult)
 	}
 	if !bytes.Equal(replayResult, replayWant.Bytes()) {
-		t.Errorf("served replay envelope diverges from golden Runner envelope\n got: %s\nwant: %s", replayResult, replayWant.Bytes())
+		t.Errorf("served replay envelope diverges from the in-process envelope\n got: %s\nwant: %s", replayResult, replayWant.Bytes())
 	}
 	if err := os.WriteFile(filepath.Join(artifacts, "replay-result.json"), replayResult, 0o644); err != nil {
 		t.Fatal(err)

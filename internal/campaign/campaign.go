@@ -6,8 +6,10 @@
 // (architecture, DIMM, hammer configuration, pattern, budget) — whose
 // results are then assembled into one rendered artifact. A Spec
 // describes such a grid declaratively, a Registry names every Spec the
-// repository knows how to build, and a Runner executes a Spec's cells
-// across a bounded worker pool.
+// repository knows how to build, and a Pool — the package's one cell
+// scheduler — executes the cells of one or many Specs on a fixed set
+// of work-stealing workers. Run is the one-shot form: a private Pool
+// sized to the grid, closed when the campaign is done.
 //
 // Determinism is the package's core contract: each cell derives its own
 // RNG seed from the campaign seed and the cell's stable key
@@ -21,6 +23,7 @@ package campaign
 
 import (
 	"fmt"
+	"time"
 
 	"rhohammer/internal/arch"
 	"rhohammer/internal/hammer"
@@ -115,7 +118,7 @@ type Spec struct {
 	// Seed is the campaign base seed; per-cell seeds derive from
 	// (Seed, Name, Cell.Key) via stats.SplitSeed.
 	Seed int64
-	// Cells is the grid, in rendering order: the Runner preserves this
+	// Cells is the grid, in rendering order: the Pool preserves this
 	// order in its results regardless of completion order.
 	Cells []Cell
 	// Exec runs one cell with its derived seed and returns the cell's
@@ -123,8 +126,8 @@ type Spec struct {
 	// mutable state across cells.
 	Exec func(c Cell, seed int64) (any, error)
 	// Gather assembles the index-ordered per-cell results into the
-	// campaign result (typically a Renderer). When nil the Runner
-	// returns the raw slice.
+	// campaign result (typically a Renderer). When nil the Outcome
+	// carries the raw slice.
 	Gather func(results []any) any
 }
 
@@ -136,7 +139,7 @@ func (s Spec) CellSeed(key string) int64 {
 }
 
 // Validate reports structural misuse of a Spec — a missing name or
-// Exec, empty or duplicate cell keys — before any cell runs. Runner
+// Exec, empty or duplicate cell keys — before any cell runs. The Pool
 // calls it on every run; callers that build Specs from untrusted input
 // (the serve layer's inline grids) call it early to turn misuse into a
 // client error instead of a failed run.
@@ -158,4 +161,55 @@ func (s Spec) Validate() error {
 		seen[c.Key] = struct{}{}
 	}
 	return nil
+}
+
+// CellStat records how one cell's execution went: its wall time and
+// error. The manifest written by cmd/experiments and the -json
+// envelope both embed it; Seed makes any single cell replayable in
+// isolation.
+type CellStat struct {
+	// Key is the cell's stable key within its Spec.
+	Key string `json:"key"`
+	// Seed is the derived per-cell seed (Spec.CellSeed(Key)).
+	Seed int64 `json:"seed"`
+	// Wall is the cell's execution time.
+	Wall time.Duration `json:"wall_ns"`
+	// Attempts is 1 when the cell ran and 0 when it never started (its
+	// run was cancelled first).
+	Attempts int `json:"attempts"`
+	// Err is the cell's error, "" on success.
+	Err string `json:"error,omitempty"`
+}
+
+// Outcome is one campaign execution.
+type Outcome struct {
+	// Name echoes the Spec.
+	Name string
+	// Workers is the resolved pool size the run used.
+	Workers int
+	// Results holds the per-cell results in cell order.
+	Results []any
+	// Result is Gather's assembly of Results (Results itself when the
+	// Spec has no Gather).
+	Result any
+	// Cells holds per-cell execution stats, in cell order. Only the
+	// Wall field varies with scheduling; Key/Seed/Attempts/Err are
+	// deterministic for a run that was not cancelled.
+	Cells []CellStat
+	// Wall is the campaign's wall-clock duration.
+	Wall time.Duration
+	// Busy is the summed per-cell wall time; Busy/(Workers*Wall) is the
+	// pool's occupancy.
+	Busy time.Duration
+}
+
+// Occupancy returns the fraction of the pool's capacity that executed
+// cells (1.0 = every worker busy for the whole campaign). With
+// campaign-sized cells a low value means the grid is too coarse for
+// the pool, the signal to shard cells before scaling workers.
+func (o *Outcome) Occupancy() float64 {
+	if o.Workers <= 0 || o.Wall <= 0 {
+		return 0
+	}
+	return float64(o.Busy) / (float64(o.Workers) * float64(o.Wall))
 }

@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -33,33 +35,61 @@ func syntheticSpec(seed int64, cells int) Spec {
 	return s
 }
 
-// TestRunnerDeterminism is the package's core contract: the gathered
-// result is identical for every worker count. make verify runs it under
-// -race (the runner is the repository's concurrent hot path).
-func TestRunnerDeterminism(t *testing.T) {
-	spec := syntheticSpec(42, 64)
-	base, err := Runner{Workers: 1}.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8, 64, 0} {
-		got, err := Runner{Workers: workers}.Run(spec)
+// serialReference is the determinism oracle the schedulers are held
+// to: the spec's cells executed in order on the calling goroutine with
+// their derived seeds, no pool involved.
+func serialReference(t *testing.T, s Spec) (results []any, result any) {
+	t.Helper()
+	results = make([]any, len(s.Cells))
+	for i, c := range s.Cells {
+		r, err := s.Exec(c, s.CellSeed(c.Key))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Result, base.Result) {
-			t.Errorf("workers=%d: result diverged from serial run", workers)
+		results[i] = r
+	}
+	return results, s.Gather(results)
+}
+
+// run calls the one-shot runner, Run, with no context or options;
+// the TestRunner* tests pin its contract.
+func run(s Spec, workers int) (*Outcome, error) {
+	return Run(context.Background(), s, workers, RunOpts{})
+}
+
+// TestRunnerDeterminism is the package's core contract, for the
+// one-shot runner: Run's gathered result equals the serial reference
+// for every worker count, and the private pool it starts is sized to
+// min(workers, cells). make verify runs it under -race (the pool is the
+// repository's concurrent hot path).
+func TestRunnerDeterminism(t *testing.T) {
+	spec := syntheticSpec(42, 64)
+	wantResults, want := serialReference(t, spec)
+	for _, workers := range []int{1, 2, 8, 64, 100, 0} {
+		got, err := run(spec, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Results, base.Results) {
+		if !reflect.DeepEqual(got.Result, want) {
+			t.Errorf("workers=%d: result diverged from the serial reference", workers)
+		}
+		if !reflect.DeepEqual(got.Results, wantResults) {
 			t.Errorf("workers=%d: per-cell results diverged", workers)
+		}
+		size := workers
+		if size <= 0 {
+			size = runtime.GOMAXPROCS(0)
+		}
+		if size = min(size, len(spec.Cells)); got.Workers != size {
+			t.Errorf("workers=%d: Outcome.Workers = %d, want %d", workers, got.Workers, size)
 		}
 	}
 	// A different base seed must change the results.
-	other, err := Runner{Workers: 4}.Run(syntheticSpec(43, 64))
+	other, err := run(syntheticSpec(43, 64), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(other.Result, base.Result) {
+	if reflect.DeepEqual(other.Result, want) {
 		t.Error("seed 43 reproduced seed 42's results")
 	}
 }
@@ -80,7 +110,7 @@ func TestCellSeedIsPure(t *testing.T) {
 
 func TestRunnerPreservesCellOrder(t *testing.T) {
 	spec := syntheticSpec(1, 16)
-	out, err := Runner{Workers: 8}.Run(spec)
+	out, err := run(spec, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +136,7 @@ func TestRunnerJoinsCellFailures(t *testing.T) {
 		},
 	}
 	for _, workers := range []int{1, 3} {
-		_, err := Runner{Workers: workers}.Run(spec)
+		_, err := run(spec, workers)
 		if err == nil {
 			t.Fatalf("workers=%d: no error", workers)
 		}
@@ -130,19 +160,22 @@ func TestRunnerValidatesSpecs(t *testing.T) {
 		{"empty key", Spec{Name: "x", Exec: exec, Cells: []Cell{{}}}, "empty key"},
 		{"dup key", Spec{Name: "x", Exec: exec, Cells: []Cell{{Key: "a"}, {Key: "a"}}}, "duplicate cell key"},
 	} {
-		if _, err := (Runner{}).Run(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := run(tc.spec, 0); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }
 
 func TestRunnerEmptyGrid(t *testing.T) {
-	out, err := Runner{}.Run(Spec{Name: "empty", Exec: func(Cell, int64) (any, error) { return nil, nil }})
+	out, err := run(Spec{Name: "empty", Exec: func(Cell, int64) (any, error) { return nil, nil }}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Results) != 0 {
 		t.Errorf("%d results from empty grid", len(out.Results))
+	}
+	if out.Workers != 1 {
+		t.Errorf("empty grid ran on %d workers, want the one-worker floor", out.Workers)
 	}
 }
 
@@ -151,7 +184,7 @@ func TestRunnerWithoutGatherReturnsResults(t *testing.T) {
 		Name: "raw", Seed: 1, Cells: []Cell{{Key: "a"}, {Key: "b"}},
 		Exec: func(c Cell, seed int64) (any, error) { return c.Key, nil },
 	}
-	out, err := Runner{}.Run(spec)
+	out, err := run(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -29,11 +30,11 @@ func Example() {
 		},
 	}
 
-	serial, err := campaign.Runner{Workers: 1}.Run(spec)
+	serial, err := campaign.Run(context.Background(), spec, 1, campaign.RunOpts{})
 	if err != nil {
 		panic(err)
 	}
-	pooled, err := campaign.Runner{Workers: 8}.Run(spec)
+	pooled, err := campaign.Run(context.Background(), spec, 8, campaign.RunOpts{})
 	if err != nil {
 		panic(err)
 	}
@@ -47,7 +48,7 @@ func Example() {
 // ExamplePool shares one work-stealing worker set across several
 // campaigns: cells — not jobs — are the scheduling unit, so a small
 // grid never waits behind a large one, and the result is still
-// bit-identical to a serial Runner because each cell's seed derives
+// bit-identical to a one-worker run because each cell's seed derives
 // from its stable key.
 func ExamplePool() {
 	spec := campaign.Spec{
@@ -72,7 +73,7 @@ func ExamplePool() {
 	if err != nil {
 		panic(err)
 	}
-	serial, err := campaign.Runner{Workers: 1}.Run(spec)
+	serial, err := campaign.Run(context.Background(), spec, 1, campaign.RunOpts{})
 	if err != nil {
 		panic(err)
 	}

@@ -51,7 +51,7 @@ func failingSpec(name string, fail map[string]string) Spec {
 func TestRunSurfacesFailingCellKeys(t *testing.T) {
 	fail := map[string]string{"cell-03": "error", "cell-07": "panic"}
 
-	healthy, err := Runner{Workers: 1}.Run(failingSpec("healthy", nil))
+	healthy, err := run(failingSpec("healthy", nil), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRunSurfacesFailingCellKeys(t *testing.T) {
 			var runErr error
 			go func() {
 				defer close(done)
-				out, runErr = Runner{Workers: workers}.Run(failingSpec("healthy", fail))
+				out, runErr = run(failingSpec("healthy", fail), workers)
 			}()
 			select {
 			case <-done:
@@ -114,7 +114,7 @@ func TestRunSurfacesFailingCellKeys(t *testing.T) {
 func TestDeterminismDeviceBackedCells(t *testing.T) {
 	results := map[int][]any{}
 	for _, workers := range []int{1, 3, 8} {
-		out, err := Runner{Workers: workers}.Run(failingSpec("device-grid", nil))
+		out, err := run(failingSpec("device-grid", nil), workers)
 		if err != nil {
 			t.Fatal(err)
 		}

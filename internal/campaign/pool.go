@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -10,13 +11,11 @@ import (
 	"rhohammer/internal/obs"
 )
 
-// Pool is a shared work-stealing cell scheduler: one fixed set of
-// workers executing the cells of every campaign submitted to it,
-// concurrently. Where a Runner dedicates its whole worker pool to one
-// Spec, a Pool interleaves the cells of many Specs — the serving
-// layer's shard problem ("one large job serializes behind its shard
-// while the other shards idle") disappears because scheduling happens
-// at cell granularity.
+// Pool is the package's cell scheduler: one fixed set of workers
+// executing the cells of every campaign submitted to it, concurrently.
+// Cells of many Specs interleave — the serving layer's shard problem
+// ("one large job serializes behind its shard while the other shards
+// idle") disappears because scheduling happens at cell granularity.
 //
 // Each worker owns a deque. Submitting a run spreads its cells across
 // the deques round-robin; a worker pops work from the front of its own
@@ -25,13 +24,12 @@ import (
 // on every pop). Every cell is scheduled exactly once — moving between
 // deques never duplicates it.
 //
-// Determinism is inherited, not re-proved: a cell's seed derives from
-// its stable key (Spec.CellSeed), results land at the cell's index, and
-// Gather runs once after the last cell — so which worker ran a cell,
-// or whether it was stolen, cannot change result bytes. The pool
-// preserves the Runner's whole contract: per-cell retries, panic
-// recovery, OnCell notification, cooperative cancellation, and the
-// partial-grid error shape.
+// Results are bit-identical for every pool size: a cell's seed derives
+// from its stable key (Spec.CellSeed), results land at the cell's
+// index, and Gather runs once after the last cell — so which worker ran
+// a cell, or whether it was stolen, cannot change result bytes. A
+// panicking cell is recovered into its own error, OnCell observes each
+// cell as it finishes, and cancellation withdraws a run's queued cells.
 type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -53,10 +51,9 @@ type poolItem struct {
 // are written by exactly one worker each (per-index ownership); the
 // remaining counter and done channel are guarded by the pool mutex.
 type poolRun struct {
-	ctx     context.Context
-	spec    Spec
-	retries int
-	onCell  func(int, CellStat)
+	ctx    context.Context
+	spec   Spec
+	onCell func(int, CellStat, any)
 
 	results   []any
 	stats     []CellStat
@@ -64,15 +61,17 @@ type poolRun struct {
 	done      chan struct{}
 }
 
-// RunOpts carries the per-run options a Pool accepts — the same knobs
-// Runner exposes as fields, minus Workers (the pool's size is fixed at
-// construction and shared by every run).
+// RunOpts carries the per-run options a Pool accepts. The pool's size
+// is fixed at construction and shared by every run.
 type RunOpts struct {
-	// Retries is the per-cell retry budget (Runner.Retries).
-	Retries int
-	// OnCell, when non-nil, is invoked once per executed cell, from
-	// worker goroutines (Runner.OnCell).
-	OnCell func(index int, stat CellStat)
+	// OnCell, when non-nil, is called once per executed cell right after
+	// it finishes (successfully or not), with the cell's index in
+	// Spec.Cells, its stats and its result (nil when the cell failed).
+	// It is invoked from worker goroutines — potentially concurrently —
+	// and must not block for long: the serve layer uses it for progress
+	// reporting and to journal each result as it lands. Cells a
+	// cancellation withdrew before they started are not reported.
+	OnCell func(index int, stat CellStat, result any)
 }
 
 // NewPool starts a pool of the given size; workers <= 0 means
@@ -93,9 +92,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's fixed worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // Close stops the workers after the cells already queued have run.
 // Runs still waiting in RunContext complete normally first; submitting
 // after Close returns an error.
@@ -107,27 +103,48 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
+// Run executes every cell of the spec on its own pool of
+// min(workers, cells) workers (at least one; workers <= 0 means
+// GOMAXPROCS) and closes that pool before returning: the one-shot form
+// of Pool.RunContext for callers that run one campaign at a time.
+func Run(ctx context.Context, s Spec, workers int, opts RunOpts) (*Outcome, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	p := NewPool(max(1, min(workers, len(s.Cells))))
+	defer p.Close()
+	return p.RunContext(ctx, s, opts)
+}
+
 // Run executes every cell of the spec on the pool and gathers the
-// results, with Runner.Run's exact error contract.
+// results. A cell failure (returned error or panic) does not stop,
+// skew, or reorder the other cells; all failures are joined into the
+// returned error, each naming its cell. On error the Outcome is still
+// returned with every successful cell's result at its index (failed
+// cells hold nil) and with complete per-cell stats, so a caller can
+// salvage partial grids; Gather is not run on partial results —
+// Outcome.Result is nil whenever the error is non-nil.
 func (p *Pool) Run(s Spec, opts RunOpts) (*Outcome, error) {
 	return p.RunContext(context.Background(), s, opts)
 }
 
 // RunContext is Run with cooperative cancellation: when ctx is
 // cancelled, this run's still-queued cells are withdrawn from the
-// deques (recording ctx's error as their stat), cells already executing
-// finish, and the call returns once nothing of the run remains in
-// flight. Other runs sharing the pool are unaffected.
+// deques (recording ctx's error as their stat, with Attempts 0), cells
+// already executing finish (Exec takes no context — cells are meant to
+// be fine-grained), and the call returns once nothing of the run
+// remains in flight. Other runs sharing the pool are unaffected, and
+// every cell that did run used its derived seed, so a partial grid is
+// a subset of the full run.
 func (p *Pool) RunContext(ctx context.Context, s Spec, opts RunOpts) (*Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(s.Cells)
 	run := &poolRun{
-		ctx:     ctx,
-		spec:    s,
-		retries: opts.Retries,
-		onCell:  opts.OnCell,
+		ctx:    ctx,
+		spec:   s,
+		onCell: opts.OnCell,
 
 		results:   make([]any, n),
 		stats:     make([]CellStat, n),
@@ -158,7 +175,20 @@ func (p *Pool) RunContext(ctx context.Context, s Spec, opts RunOpts) (*Outcome, 
 		p.withdraw(run)
 		<-run.done
 	}
-	return assembleOutcome(s, p.workers, time.Since(start), run.results, run.stats)
+	out, err := AssembleOutcome(s, p.workers, time.Since(start), run.results, run.stats)
+	if obs.Enabled() {
+		// Flushed per pool run, so the campaign counters count the cells
+		// this process scheduled — never a merge of cells run elsewhere.
+		obs.CampaignCells.Add(int64(n))
+		obs.CampaignBusyNS.Add(int64(out.Busy))
+		obs.CampaignWallNS.Add(int64(out.Wall))
+		for _, st := range run.stats {
+			if st.Err != "" {
+				obs.CampaignFailures.Inc()
+			}
+		}
+	}
+	return out, err
 }
 
 // withdraw removes a cancelled run's still-queued cells from every
@@ -246,22 +276,75 @@ func (p *Pool) stealLocked(id int) bool {
 }
 
 // execute runs one popped cell: cancelled runs record the context error
-// without executing, everything else goes through the shared
-// runCellAttempts (retries, panic recovery, timing).
+// without executing, everything else goes through runCell.
 func (p *Pool) execute(it poolItem) {
 	run := it.run
 	if err := run.ctx.Err(); err != nil {
 		c := run.spec.Cells[it.idx]
 		run.stats[it.idx] = CellStat{Key: c.Key, Seed: run.spec.CellSeed(c.Key), Err: err.Error()}
 	} else {
-		result, stat := runCellAttempts(run.ctx, run.spec, it.idx, run.retries)
+		result, stat := runCell(run.spec, it.idx)
 		run.results[it.idx] = result
 		run.stats[it.idx] = stat
 		if run.onCell != nil {
-			run.onCell(it.idx, stat)
+			run.onCell(it.idx, stat, result)
 		}
 	}
 	p.mu.Lock()
 	p.finishItemLocked(run)
 	p.mu.Unlock()
+}
+
+// runCell executes one cell, timing it and converting a panic into an
+// error so a failing cell reports its key instead of killing the
+// process from a worker goroutine.
+func runCell(s Spec, i int) (result any, stat CellStat) {
+	c := s.Cells[i]
+	stat = CellStat{Key: c.Key, Seed: s.CellSeed(c.Key), Attempts: 1}
+	t0 := time.Now()
+	defer func() {
+		if p := recover(); p != nil {
+			result, stat.Err = nil, fmt.Sprintf("panic: %v", p)
+		}
+		stat.Wall = time.Since(t0)
+	}()
+	result, err := s.Exec(c, stat.Seed)
+	if err != nil {
+		result, stat.Err = nil, err.Error()
+	}
+	return result, stat
+}
+
+// AssembleOutcome builds an Outcome from index-ordered results and
+// stats: per-cell errors are joined (Gather never runs on a partial
+// grid) and busy time is summed. The Pool ends every run with it, and
+// the serve layer merges a job's grid — cells run locally, leased to
+// worker nodes or recovered from its journal — through it, so an
+// Outcome assembled from remote cells is indistinguishable from a
+// local run.
+func AssembleOutcome(s Spec, workers int, wall time.Duration, results []any, stats []CellStat) (*Outcome, error) {
+	out := &Outcome{
+		Name:    s.Name,
+		Workers: workers,
+		Results: results,
+		Cells:   stats,
+		Wall:    wall,
+	}
+	var errs []error
+	for i := range stats {
+		out.Busy += stats[i].Wall
+		if stats[i].Err != "" {
+			errs = append(errs, fmt.Errorf("campaign %s: cell %s: %s", s.Name, stats[i].Key, stats[i].Err))
+		}
+	}
+	if len(errs) > 0 {
+		return out, errors.Join(errs...)
+	}
+
+	if s.Gather != nil {
+		out.Result = s.Gather(results)
+	} else {
+		out.Result = results
+	}
+	return out, nil
 }

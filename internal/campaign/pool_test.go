@@ -11,15 +11,12 @@ import (
 	"time"
 )
 
-// TestPoolDeterminism is the Pool's core contract, mirroring
-// TestRunnerDeterminism: the gathered result is identical for every
-// pool size, stolen or not. make verify runs it under -race.
+// TestPoolDeterminism is the Pool's core contract: the gathered result
+// equals the serial reference for every pool size, stolen or not. make
+// verify runs it under -race.
 func TestPoolDeterminism(t *testing.T) {
 	spec := syntheticSpec(42, 64)
-	base, err := Runner{Workers: 1}.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantResults, want := serialReference(t, spec)
 	for _, workers := range []int{1, 2, 8, 64} {
 		p := NewPool(workers)
 		got, err := p.Run(spec, RunOpts{})
@@ -27,10 +24,10 @@ func TestPoolDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Result, base.Result) {
-			t.Errorf("pool workers=%d: result diverged from serial Runner", workers)
+		if !reflect.DeepEqual(got.Result, want) {
+			t.Errorf("pool workers=%d: result diverged from the serial reference", workers)
 		}
-		if !reflect.DeepEqual(got.Results, base.Results) {
+		if !reflect.DeepEqual(got.Results, wantResults) {
 			t.Errorf("pool workers=%d: per-cell results diverged", workers)
 		}
 	}
@@ -162,8 +159,8 @@ func TestPoolInterleavesRuns(t *testing.T) {
 	<-bigDone
 }
 
-// TestPoolOnCellAndStats checks the OnCell hook and per-cell stats
-// survive the pool path with Runner semantics.
+// TestPoolOnCellAndStats checks the OnCell hook sees every cell's
+// final stats and result on a shared pool.
 func TestPoolOnCellAndStats(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
@@ -171,9 +168,10 @@ func TestPoolOnCellAndStats(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := map[int]CellStat{}
-	out, err := p.Run(spec, RunOpts{OnCell: func(i int, stat CellStat) {
+	results := map[int]any{}
+	out, err := p.Run(spec, RunOpts{OnCell: func(i int, stat CellStat, result any) {
 		mu.Lock()
-		seen[i] = stat
+		seen[i], results[i] = stat, result
 		mu.Unlock()
 	}})
 	if err != nil {
@@ -190,15 +188,18 @@ func TestPoolOnCellAndStats(t *testing.T) {
 		if out.Cells[i] != stat {
 			t.Errorf("cell %d: OnCell stat and Outcome stat diverge", i)
 		}
+		if !reflect.DeepEqual(results[i], out.Results[i]) {
+			t.Errorf("cell %d: OnCell result %v, Outcome result %v", i, results[i], out.Results[i])
+		}
 	}
 	if out.Workers != 3 {
 		t.Errorf("Outcome.Workers = %d, want the pool size", out.Workers)
 	}
 }
 
-// TestPoolJoinsFailuresAndRetries checks error joining, panic recovery
-// and the retry budget ride through the shared cell executor.
-func TestPoolJoinsFailuresAndRetries(t *testing.T) {
+// TestPoolJoinsCellFailures checks error joining and panic recovery on
+// a shared pool, and that a failing cell runs exactly once.
+func TestPoolJoinsCellFailures(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 
@@ -215,7 +216,7 @@ func TestPoolJoinsFailuresAndRetries(t *testing.T) {
 			return 1, nil
 		},
 	}
-	out, err := p.Run(spec, RunOpts{Retries: 2})
+	out, err := p.Run(spec, RunOpts{})
 	if err == nil {
 		t.Fatal("no error from failing grid")
 	}
@@ -228,12 +229,8 @@ func TestPoolJoinsFailuresAndRetries(t *testing.T) {
 		t.Error("Gather ran on a partial grid")
 	}
 	for _, stat := range out.Cells {
-		want := 1
-		if stat.Err != "" {
-			want = 3 // 1 + Retries
-		}
-		if stat.Attempts != want {
-			t.Errorf("cell %s: %d attempts, want %d", stat.Key, stat.Attempts, want)
+		if stat.Attempts != 1 {
+			t.Errorf("cell %s: %d attempts, want 1", stat.Key, stat.Attempts)
 		}
 	}
 }
@@ -308,8 +305,8 @@ func TestPoolClose(t *testing.T) {
 	}
 }
 
-// TestPoolValidatesSpecs: the pool applies the same spec validation as
-// the Runner.
+// TestPoolValidatesSpecs: a shared pool validates specs before
+// scheduling anything, and runs an empty grid to an empty outcome.
 func TestPoolValidatesSpecs(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()

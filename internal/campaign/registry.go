@@ -8,7 +8,7 @@ import (
 // Params is the experiment-level configuration a registry entry needs
 // to materialize its Spec: the base seed and the workload scale. It
 // deliberately excludes execution concerns (worker counts) — those
-// belong to the Runner, and a Spec must describe identical work for any
+// belong to the Pool, and a Spec must describe identical work for any
 // of them.
 type Params struct {
 	// Seed fixes all randomness.
@@ -27,7 +27,7 @@ type Entry struct {
 	Title string
 	// Build materializes the Spec for the given parameters. Building is
 	// cheap (it only constructs the cell grid); no cell runs until a
-	// Runner executes the Spec.
+	// Pool executes the Spec.
 	Build func(p Params) Spec
 }
 

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -47,8 +48,8 @@ func TestSortedEntriesStableOrder(t *testing.T) {
 }
 
 // TestRunContextCancelStopsDispatch proves cooperative cancellation:
-// once the context is cancelled the runner dispatches no further
-// cells, the never-started cells report the context error with their
+// once the context is cancelled the pool starts no further cells, the
+// never-started cells report the context error with their
 // deterministic key and seed, and the cells that did run kept their
 // results.
 func TestRunContextCancelStopsDispatch(t *testing.T) {
@@ -69,7 +70,7 @@ func TestRunContextCancelStopsDispatch(t *testing.T) {
 		s.Cells = append(s.Cells, Cell{Key: fmt.Sprintf("c%02d", i)})
 	}
 
-	out, err := Runner{Workers: 2}.RunContext(ctx, s)
+	out, err := Run(ctx, s, 2, RunOpts{})
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -109,8 +110,8 @@ func TestRunContextCancelStopsDispatch(t *testing.T) {
 }
 
 // TestOnCellReportsEveryCell pins the progress hook: it fires exactly
-// once per cell with the cell's index and final stats, for both the
-// single-worker and pooled paths.
+// once per cell with the cell's index, final stats and result, for
+// both the single-worker and pooled paths.
 func TestOnCellReportsEveryCell(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		s := Spec{
@@ -126,16 +127,16 @@ func TestOnCellReportsEveryCell(t *testing.T) {
 			s.Cells = append(s.Cells, Cell{Key: fmt.Sprintf("c%d", i)})
 		}
 		seen := make([]CellStat, len(s.Cells))
+		results := make([]any, len(s.Cells))
 		var calls atomic.Int32
 		var mu = make(chan struct{}, 1)
 		mu <- struct{}{}
-		r := Runner{Workers: workers, OnCell: func(i int, st CellStat) {
+		out, err := Run(context.Background(), s, workers, RunOpts{OnCell: func(i int, st CellStat, result any) {
 			<-mu
-			seen[i] = st
+			seen[i], results[i] = st, result
 			mu <- struct{}{}
 			calls.Add(1)
-		}}
-		_, err := r.Run(s)
+		}})
 		if err == nil || !strings.Contains(err.Error(), "c3") {
 			t.Fatalf("workers=%d: expected c3 failure, got %v", workers, err)
 		}
@@ -149,6 +150,9 @@ func TestOnCellReportsEveryCell(t *testing.T) {
 		}
 		if seen[3].Err == "" || seen[3].Attempts != 1 {
 			t.Errorf("workers=%d: failing cell stat = %+v", workers, seen[3])
+		}
+		if !reflect.DeepEqual(results, out.Results) || results[3] != nil {
+			t.Errorf("workers=%d: OnCell results %v, want the Outcome's %v with nil for the failed cell", workers, results, out.Results)
 		}
 	}
 }

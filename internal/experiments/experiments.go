@@ -34,9 +34,9 @@ type Config struct {
 	// Scale multiplies the default (CI-sized) workload budgets; 1 is
 	// the fast default, larger values approach the paper's budgets.
 	Scale float64
-	// Workers bounds the campaign runner's worker pool; <= 0 means
-	// GOMAXPROCS. Results are bit-identical for every value — Workers
-	// only changes wall-clock time.
+	// Workers sizes each campaign's cell pool (campaign.Run); <= 0
+	// means GOMAXPROCS. Results are bit-identical for every value —
+	// Workers only changes wall-clock time.
 	Workers int
 }
 

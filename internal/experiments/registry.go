@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"rhohammer/internal/campaign"
@@ -72,7 +73,7 @@ func RunOutcome(name string, cfg Config) (Renderer, *campaign.Outcome, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("experiments: unknown campaign %q", name)
 	}
-	out, err := campaign.Runner{Workers: cfg.Workers}.Run(e.Build(campaign.Params{Seed: cfg.Seed, Scale: cfg.Scale}))
+	out, err := campaign.Run(context.Background(), e.Build(campaign.Params{Seed: cfg.Seed, Scale: cfg.Scale}), cfg.Workers, campaign.RunOpts{})
 	if err != nil {
 		return nil, out, err
 	}
@@ -93,14 +94,14 @@ func runSpec[T any](cfg Config, name string) T {
 		panic(fmt.Sprintf("experiments: campaign %q not registered", name))
 	}
 	spec := e.Build(campaign.Params{Seed: cfg.Seed, Scale: cfg.Scale})
-	out, err := campaign.Runner{Workers: cfg.Workers}.Run(spec)
+	out, err := campaign.Run(context.Background(), spec, cfg.Workers, campaign.RunOpts{})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	return out.Result.(T)
 }
 
-// gather converts the runner's index-ordered cell results into a typed
+// gather converts the pool's index-ordered cell results into a typed
 // slice.
 func gather[T any](results []any) []T {
 	out := make([]T, len(results))

@@ -226,7 +226,6 @@ var (
 
 	CampaignCells    = Default.Counter("rhohammer_campaign_cells_total")
 	CampaignFailures = Default.Counter("rhohammer_campaign_cell_failures_total")
-	CampaignRetries  = Default.Counter("rhohammer_campaign_cell_retries_total")
 	CampaignBusyNS   = Default.Counter("rhohammer_campaign_busy_ns_total")
 	CampaignWallNS   = Default.Counter("rhohammer_campaign_wall_ns_total")
 

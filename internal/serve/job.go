@@ -77,23 +77,18 @@ type Job struct {
 	// no longer carries it); 0 defers to the spec.
 	cellsTotal int
 	cellsDone  int
-	// recoveredResults / recoveredNodes are index-aligned with
-	// spec.Cells on recovered in-flight jobs: the decoded results (and
-	// the worker that produced each) of cells the journal shows
-	// complete. runJob and runDistributed seed their merge arrays from
-	// them so only the incomplete cells re-execute; nil on jobs with
-	// nothing recovered.
-	recoveredResults []any
-	recoveredNodes   []string
-	// cellNodes is index-aligned with spec.Cells for distributed jobs:
-	// the worker ID that completed each cell ("" until then, and for
-	// locally executed jobs it stays nil).
-	cellNodes []string
-	// cellStats is index-aligned with spec.Cells. Key and Seed are
-	// prefilled at admission (both are pure functions of the spec), so
-	// the status endpoint can show the full grid with per-cell progress
-	// before and during the run; OnCell fills in the rest.
+	// results, cellStats and cellNodes are index-aligned with
+	// spec.Cells: the job's merge arrays. results holds each completed
+	// cell's result — recovery prefills the cells the journal shows
+	// complete, and runJob runs or leases only the nil entries; it is
+	// released when the job turns terminal. cellStats' Key and Seed are
+	// prefilled by newJob (both are pure functions of the spec), so the
+	// status endpoint can show the full grid with per-cell progress
+	// before and during the run. cellNodes names the worker that
+	// completed each leased cell ("" for cells run in this process).
+	results   []any
 	cellStats []campaign.CellStat
+	cellNodes []string
 
 	// result holds the canonical envelope (scheduling noise zeroed),
 	// resultTimed the as-executed envelope (?timings=1), manifest the
@@ -106,6 +101,23 @@ type Job struct {
 	// GET /v1/jobs/{id}/trace. Empty for cached and replay jobs, which
 	// execute no hammer sessions.
 	trace []byte
+}
+
+// newJob builds a queued job over spec, with its merge arrays sized to
+// the grid and every cell's stat prefilled with its key and seed.
+func newJob(name string, spec campaign.Spec, seed int64, scale float64, parallel int) *Job {
+	n := len(spec.Cells)
+	j := &Job{
+		SpecName: name, Seed: seed, Scale: scale, Parallel: parallel,
+		state: StateQueued, created: time.Now(), spec: spec,
+		results:   make([]any, n),
+		cellStats: make([]campaign.CellStat, n),
+		cellNodes: make([]string, n),
+	}
+	for i, c := range spec.Cells {
+		j.cellStats[i] = campaign.CellStat{Key: c.Key, Seed: spec.CellSeed(c.Key)}
+	}
+	return j
 }
 
 // jobStatus is the GET /v1/jobs/{id} response body.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"rhohammer/internal/campaign"
@@ -23,9 +24,10 @@ import (
 // its lease and the cells return to the pending queue for re-lease —
 // work is re-run, never lost, and because cell seeds derive from
 // stable keys the re-run is bit-identical to what the dead worker
-// would have produced. The coordinator gathers completed cells through
-// campaign.AssembleOutcome, the same merge the in-process schedulers
-// use, so the canonical envelope is byte-identical to a standalone run
+// would have produced. Leasing is only the placement step of the one
+// job pipeline (runJob): completed cells land in the job's merge arrays
+// and campaign.AssembleOutcome merges them exactly as it merges a local
+// run, so the canonical envelope is byte-identical to a standalone run
 // at any node count.
 
 // Lease-layer counters (cold path, unconditional like the serve ones).
@@ -47,12 +49,11 @@ func CoordinatorRoutes() []string {
 	}
 }
 
-// distJob is one job executing on the fabric. All fields are guarded
-// by the owning Server's mutex except results/stats/nodes entries,
-// which are written once each (per-index ownership, like the Pool's).
+// distJob is one job's leased cells in flight. All fields are guarded
+// by the owning Server's mutex; completed cells land in the job's own
+// merge arrays.
 type distJob struct {
-	job  *Job
-	spec campaign.Spec
+	job *Job
 	// pending is the ordered queue of cell indices awaiting lease
 	// (lowest index out first — initial fill, reclaims and restarts all
 	// converge on the same front-to-back schedule). Every mutation goes
@@ -60,13 +61,8 @@ type distJob struct {
 	// exact.
 	pending campaign.CellQueue
 
-	results []any
-	stats   []campaign.CellStat
-	nodes   []string // per-cell worker ID, "" until completed
-
 	remaining int
 	finished  chan struct{}
-	canceled  bool
 }
 
 // lease is one outstanding batch of cells granted to a worker.
@@ -170,44 +166,18 @@ type completeRequest struct {
 	Cells  []completedCell `json:"cells"`
 }
 
-// runDistributed executes one job through the lease fabric: cells go
-// to the pending queue, workers drain it, and the completed grid is
-// merged by the same AssembleOutcome the local schedulers use.
-func (s *Server) runDistributed(ctx context.Context, j *Job) (*campaign.Outcome, error) {
-	n := len(j.spec.Cells)
-	dj := &distJob{
-		job:       j,
-		spec:      j.spec,
-		results:   make([]any, n),
-		stats:     make([]campaign.CellStat, n),
-		nodes:     make([]string, n),
-		remaining: n,
-		finished:  make(chan struct{}),
-	}
-	// A recovered job enters the fabric with its journaled cells
-	// already complete: only the rest are queued for lease, and the
-	// merge below is identical to an uninterrupted run because results
-	// land at their index either way.
-	var incomplete []int
-	for i, c := range j.spec.Cells {
-		dj.stats[i] = campaign.CellStat{Key: c.Key, Seed: j.spec.CellSeed(c.Key)}
-		if j.recoveredResults != nil && j.recoveredResults[i] != nil {
-			dj.results[i] = j.recoveredResults[i]
-			dj.stats[i] = j.cellStats[i]
-			dj.nodes[i] = j.recoveredNodes[i]
-			dj.remaining--
-			continue
-		}
-		incomplete = append(incomplete, i)
-	}
-	start := time.Now()
-
+// runLeased executes the missing cells on worker nodes: they enter the
+// pending queue, workers lease and complete them (handleLeaseComplete
+// writes each into the job's merge arrays), and the call returns once
+// every cell is complete or cancelled. Returns the number of nodes
+// that completed cells of the job, at least 1.
+func (s *Server) runLeased(ctx context.Context, j *Job, missing []int) int {
+	dj := &distJob{job: j, remaining: len(missing), finished: make(chan struct{})}
 	s.mu.Lock()
-	s.pushPendingLocked(dj, incomplete...)
+	s.pushPendingLocked(dj, missing...)
 	if dj.remaining == 0 {
 		close(dj.finished)
 	}
-	j.cellNodes = dj.nodes // manifest records per-cell placement
 	s.distQueue = append(s.distQueue, dj)
 	s.mu.Unlock()
 
@@ -219,25 +189,15 @@ func (s *Server) runDistributed(ctx context.Context, j *Job) (*campaign.Outcome,
 	}
 
 	s.mu.Lock()
-	for i, q := range s.distQueue {
-		if q == dj {
-			s.distQueue = append(s.distQueue[:i], s.distQueue[i+1:]...)
-			break
-		}
-	}
-	workers := map[string]bool{}
-	for _, node := range dj.nodes {
+	defer s.mu.Unlock()
+	s.distQueue = slices.DeleteFunc(s.distQueue, func(q *distJob) bool { return q == dj })
+	nodes := map[string]bool{}
+	for _, node := range j.cellNodes {
 		if node != "" {
-			workers[node] = true
+			nodes[node] = true
 		}
 	}
-	s.mu.Unlock()
-
-	nodeCount := len(workers)
-	if nodeCount == 0 {
-		nodeCount = 1
-	}
-	return campaign.AssembleOutcome(j.spec, nodeCount, time.Since(start), dj.results, dj.stats)
+	return max(1, len(nodes))
 }
 
 // cancelDist withdraws a cancelled job's unfinished cells from the
@@ -247,12 +207,8 @@ func (s *Server) cancelDist(dj *distJob) {
 	errText := context.Canceled.Error()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if dj.canceled {
-		return
-	}
-	dj.canceled = true
 	for _, idx := range s.popPendingLocked(dj, dj.pending.Len()) {
-		dj.stats[idx].Err = errText
+		dj.job.cellStats[idx].Err = errText
 		s.finishDistCellLocked(dj)
 	}
 	for id, l := range s.leases {
@@ -260,7 +216,7 @@ func (s *Server) cancelDist(dj *distJob) {
 			continue
 		}
 		for _, idx := range l.cells {
-			dj.stats[idx].Err = errText
+			dj.job.cellStats[idx].Err = errText
 			s.finishDistCellLocked(dj)
 		}
 		delete(s.leases, id)
@@ -304,9 +260,6 @@ func (s *Server) reclaimExpiredLocked(now time.Time) {
 			continue
 		}
 		delete(s.leases, id)
-		if l.dj.canceled {
-			continue
-		}
 		// The ordered queue puts reclaimed low indices back at the
 		// front, so the post-reclaim lease schedule matches what an
 		// uninterrupted run would have handed out next.
@@ -464,7 +417,7 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 	s.reclaimExpiredLocked(now)
 	var dj *distJob
 	for _, q := range s.distQueue {
-		if !q.canceled && q.pending.Len() > 0 {
+		if q.pending.Len() > 0 {
 			dj = q
 			break
 		}
@@ -497,7 +450,7 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 		Deadline: l.expires.UTC().Format(time.RFC3339Nano),
 	}
 	for _, idx := range cells {
-		grant.Cells = append(grant.Cells, leaseCell{Index: idx, Key: dj.spec.Cells[idx].Key})
+		grant.Cells = append(grant.Cells, leaseCell{Index: idx, Key: dj.job.spec.Cells[idx].Key})
 	}
 	s.mu.Unlock()
 
@@ -561,38 +514,34 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusGone, apiError{Error: "lease expired or unknown; results discarded (cells will be re-run elsewhere, byte-identically)"})
 		return
 	}
-	delete(s.leases, id)
-	dj := l.dj
-	if dj.canceled {
-		// The job was cancelled while this batch executed; nothing to
-		// record, the cells were already accounted for.
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]string{"status": "discarded (job canceled)"})
-		return
-	}
+	// Validate the whole body before touching any state, so a 400
+	// changes nothing: the lease stays held, to be completed or
+	// reclaimed like any other. Each reported cell must be one of the
+	// lease's cells, with its key, at most once.
+	dj, j := l.dj, l.dj.job
 	leased := map[int]bool{}
 	for _, idx := range l.cells {
 		leased[idx] = true
 	}
-	accepted := 0
-	for i, c := range req.Cells {
-		if !leased[c.Index] || c.Index >= len(dj.spec.Cells) || dj.spec.Cells[c.Index].Key != c.Key {
+	for _, c := range req.Cells {
+		if !leased[c.Index] || j.spec.Cells[c.Index].Key != c.Key {
 			s.mu.Unlock()
-			writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("cell %d/%s was not part of lease %s", c.Index, c.Key, id)})
+			writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("cell %d/%s is not part of lease %s, or is reported twice", c.Index, c.Key, id)})
 			return
 		}
 		delete(leased, c.Index)
-		dj.results[c.Index] = decoded[i]
-		dj.stats[c.Index] = c.Stat
-		dj.nodes[c.Index] = req.Worker
-		dj.job.cellStats[c.Index] = c.Stat
-		dj.job.cellsDone++
-		accepted++
-		if dj.job.persisted && c.Stat.Err == "" {
+	}
+	delete(s.leases, id)
+	for i, c := range req.Cells {
+		j.results[c.Index] = decoded[i]
+		j.cellStats[c.Index] = c.Stat
+		j.cellNodes[c.Index] = req.Worker
+		j.cellsDone++
+		if j.persisted && c.Stat.Err == "" {
 			// Journal before acknowledging: the wire gob bytes are
 			// reused as-is, so what recovery decodes is exactly what
 			// this completion carried.
-			s.persistCell(dj.job.ID, c.Index, req.Worker, c.Stat, nil, c.Result)
+			s.persistCell(j.ID, c.Index, req.Worker, c.Stat, nil, c.Result)
 		}
 		s.finishDistCellLocked(dj)
 	}
@@ -603,9 +552,9 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	if info := s.workers[req.Worker]; info != nil {
 		info.lastSeen = now
-		info.cells += accepted
+		info.cells += len(req.Cells)
 	}
 	s.mu.Unlock()
 	obs.LeaseCompletions.Inc()
-	writeJSON(w, http.StatusOK, map[string]int{"accepted": accepted})
+	writeJSON(w, http.StatusOK, map[string]int{"accepted": len(req.Cells)})
 }

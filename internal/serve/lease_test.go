@@ -230,6 +230,85 @@ func TestLeaseReclaimFaultInjection(t *testing.T) {
 	}
 }
 
+// TestLeaseCompleteRejectsBadBodyWholesale: a completion that fails
+// validation part-way — a cell reported twice, or a valid cell followed
+// by a mismatched key — is a 400 that changes nothing. No cell counts
+// as done and the lease stays held, so a correct completion of the same
+// lease still lands and the job finishes with the standalone bytes
+// instead of wedging with cells in neither the pending queue nor a
+// lease.
+func TestLeaseCompleteRejectsBadBodyWholesale(t *testing.T) {
+	reg := tinyRegistry()
+	want := standaloneEnvelope(t, reg, `{"spec":"tiny","seed":7}`)
+	// Drained only once the job is done: a wedged job would block Drain
+	// forever, and the test must fail instead of hanging.
+	s, err := New(Config{Registry: reg, Coordinator: true, LeaseBatch: 4, LeaseTTL: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var wr registerResponse
+	doJSON(t, "POST", ts.URL+"/v1/workers", `{"name":"sloppy"}`, &wr)
+	id := submit(t, ts, `{"spec":"tiny","seed":7}`)
+	grant := acquireLease(t, ts, wr.ID)
+	if len(grant.Cells) != 4 {
+		t.Fatalf("grant has %d cells, want all 4", len(grant.Cells))
+	}
+
+	entry, _ := reg.Lookup("tiny")
+	spec := entry.Build(campaign.Params{Seed: 7, Scale: 1})
+	cells := make([]completedCell, 2)
+	for i, c := range grant.Cells[:2] {
+		result, err := spec.Exec(spec.Cells[c.Index], spec.CellSeed(c.Key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := campaign.EncodeResult(result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[i] = completedCell{Index: c.Index, Key: c.Key, Result: data,
+			Stat: campaign.CellStat{Key: c.Key, Seed: spec.CellSeed(c.Key), Attempts: 1}}
+	}
+	wrongKey := cells[1]
+	wrongKey.Key = "not-" + wrongKey.Key
+	for name, bad := range map[string][]completedCell{
+		"duplicate cell":             {cells[0], cells[0]},
+		"mismatched key after valid": {cells[0], wrongKey},
+	} {
+		body, _ := jsonBody(completeRequest{Worker: wr.ID, Cells: bad})
+		if code, _ := doJSON(t, "POST", ts.URL+"/v1/leases/"+grant.LeaseID+"/complete", body, nil); code != http.StatusBadRequest {
+			t.Fatalf("%s: complete = %d, want 400", name, code)
+		}
+		var st jobStatus
+		doJSON(t, "GET", ts.URL+"/v1/jobs/"+id, "", &st)
+		if st.CellsDone != 0 {
+			t.Errorf("%s: rejected completion applied %d cells", name, st.CellsDone)
+		}
+		var workers []workerStatus
+		doJSON(t, "GET", ts.URL+"/v1/workers", "", &workers)
+		if len(workers) != 1 || workers[0].LeasesHeld != 1 {
+			t.Errorf("%s: workers = %+v, want the lease still held", name, workers)
+		}
+	}
+
+	completeGrant(t, ts, reg, wr.ID, grant)
+	fin := waitTerminal(t, ts, id)
+	if fin.State != StateDone {
+		t.Fatalf("job = %s (%s)", fin.State, fin.Error)
+	}
+	if code, got := fetch(t, ts.URL+fin.ResultURL); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("result = %d, equal to standalone %v", code, bytes.Equal(got, want))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Errorf("drain: %v", err)
+	}
+}
+
 // TestDistributedCancel: DELETE on a distributed job with no workers
 // must cancel promptly — pending cells are withdrawn, nothing hangs.
 func TestDistributedCancel(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"rhohammer/internal/campaign"
 	"rhohammer/internal/store"
@@ -14,11 +13,12 @@ import (
 // Config.StoreDir set, every registered-spec job journals its commit
 // points to the durable store: admission (persistAdmitLocked), each
 // successfully completed cell (persistCell — locally executed cells
-// stage their result until OnCell has the final stat; leased cells
-// reuse the wire gob bytes the worker posted), and the terminal
-// transition (persistTerminalLocked: snapshot first, done record
-// second, so a crash between the two recovers the job as in-flight
-// with every cell complete, converging to the same terminal state).
+// are journaled from the pool's OnCell hook, which carries the
+// result; leased cells reuse the wire gob bytes the worker posted),
+// and the terminal transition (persistTerminalLocked: snapshot first,
+// done record second, so a crash between the two recovers the job as
+// in-flight with every cell complete, converging to the same terminal
+// state).
 // recoverState is the other half: New replays the store into servable
 // terminal jobs and re-queued in-flight jobs before the shard pool
 // starts.
@@ -66,12 +66,12 @@ func (s *Server) recoverState(state *store.State) {
 		s.bumpSeqLocked(snap.ID)
 		j := &Job{
 			ID: snap.ID, SpecName: snap.Spec, Seed: snap.Seed, Scale: snap.Scale,
-			Parallel:  snap.Parallel,
-			state:     State(snap.State), err: snap.Error,
+			Parallel: snap.Parallel,
+			state:    State(snap.State), err: snap.Error,
 			persisted: true, recovered: true,
-			created:   snap.Created, started: snap.Started, finished: snap.Finished,
+			created: snap.Created, started: snap.Started, finished: snap.Finished,
 			cellsTotal: snap.CellsTotal, cellsDone: snap.CellsDone,
-			result:    snap.Canonical, resultTimed: snap.Timed, manifest: snap.Manifest,
+			result: snap.Canonical, resultTimed: snap.Timed, manifest: snap.Manifest,
 		}
 		if entry, ok := s.cfg.Registry.Lookup(snap.Spec); ok {
 			j.spec = entry.Build(campaign.Params{Seed: snap.Seed, Scale: snap.Scale})
@@ -117,20 +117,11 @@ func (s *Server) recoverState(state *store.State) {
 			continue
 		}
 		spec := entry.Build(campaign.Params{Seed: sj.Meta.Seed, Scale: sj.Meta.Scale})
-		j := &Job{
-			ID: sj.Meta.ID, SpecName: sj.Meta.Spec, Seed: sj.Meta.Seed,
-			Scale: sj.Meta.Scale, Parallel: sj.Meta.Parallel,
-			state: StateQueued, created: sj.Meta.Created, spec: spec,
-			cacheable: true, distributable: true,
-			persisted: true, recovered: true,
-		}
-		j.cellStats = make([]campaign.CellStat, len(spec.Cells))
-		for i, c := range spec.Cells {
-			j.cellStats[i] = campaign.CellStat{Key: c.Key, Seed: spec.CellSeed(c.Key)}
-		}
-		j.recoveredResults = make([]any, len(spec.Cells))
-		j.recoveredNodes = make([]string, len(spec.Cells))
-		kept := 0
+		j := newJob(sj.Meta.Spec, spec, sj.Meta.Seed, sj.Meta.Scale, sj.Meta.Parallel)
+		j.ID, j.created = sj.Meta.ID, sj.Meta.Created
+		j.cacheable, j.distributable, j.persisted, j.recovered = true, true, true, true
+		// Prefill the merge arrays from the journal: runJob runs or
+		// leases only the cells left without a result.
 		for idx, cell := range sj.Cells {
 			if idx < 0 || idx >= len(spec.Cells) || spec.Cells[idx].Key != cell.Key {
 				log.Printf("serve: store recovery: job %s cell %d/%s does not match the rebuilt spec; re-running it",
@@ -151,20 +142,14 @@ func (s *Server) recoverState(state *store.State) {
 				// re-running it is deterministic either way.
 				continue
 			}
-			j.recoveredResults[idx] = v
-			j.recoveredNodes[idx] = cell.Node
-			j.cellStats[idx] = cell.Stat
+			j.results[idx], j.cellStats[idx], j.cellNodes[idx] = v, cell.Stat, cell.Node
 			j.cellsDone++
-			kept++
-		}
-		if kept == 0 {
-			j.recoveredResults, j.recoveredNodes = nil, nil
 		}
 		s.jobs[j.ID] = j
 		s.queue <- j // capacity reserved by New; never blocks
 		s.queued.Add(1)
 		log.Printf("serve: store recovery: job %s (%s) resumed with %d/%d cells complete",
-			j.ID, j.SpecName, kept, len(spec.Cells))
+			j.ID, j.SpecName, j.cellsDone, len(spec.Cells))
 	}
 	s.recomputeOldestLocked()
 }
@@ -276,45 +261,4 @@ func (s *Server) crash() {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s.Drain(ctx)
-}
-
-// runResumed executes a recovered job's incomplete cells locally and
-// merges them with the recovered results into a full-grid Outcome via
-// the same AssembleOutcome every other scheduler uses — which is why
-// the envelope bytes cannot differ from an uninterrupted run. runSpec
-// holds only the incomplete cells; idxMap maps its indices back to the
-// full grid.
-func (s *Server) runResumed(ctx context.Context, j *Job, runSpec campaign.Spec, idxMap []int, onCell func(int, campaign.CellStat)) (*campaign.Outcome, error) {
-	start := time.Now()
-	n := len(j.spec.Cells)
-	results := make([]any, n)
-	stats := make([]campaign.CellStat, n)
-	s.mu.Lock()
-	for i := 0; i < n; i++ {
-		if j.recoveredResults[i] != nil {
-			results[i] = j.recoveredResults[i]
-			stats[i] = j.cellStats[i]
-		}
-	}
-	s.mu.Unlock()
-
-	workers := 1
-	if len(runSpec.Cells) > 0 {
-		var sub *campaign.Outcome
-		var err error
-		if j.Parallel == 0 && s.pool != nil {
-			sub, err = s.pool.RunContext(ctx, runSpec, campaign.RunOpts{OnCell: onCell})
-		} else {
-			sub, err = campaign.Runner{Workers: j.Parallel, OnCell: onCell}.RunContext(ctx, runSpec)
-		}
-		if sub == nil {
-			return nil, err
-		}
-		workers = sub.Workers
-		for k, full := range idxMap {
-			results[full] = sub.Results[k]
-			stats[full] = sub.Cells[k]
-		}
-	}
-	return campaign.AssembleOutcome(j.spec, workers, time.Since(start), results, stats)
 }

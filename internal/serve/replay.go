@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
-	"rhohammer/internal/campaign"
 	"rhohammer/internal/replay"
 )
 
@@ -63,24 +61,12 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec := replay.Spec(f)
-	j := &Job{
-		SpecName: spec.Name,
-		Seed:     spec.Seed,
-		Scale:    1,
-		Parallel: req.Parallel,
-		state:    StateQueued,
-		created:  time.Now(),
-		spec:     spec,
-		// The spec name embeds the trace content hash (which covers the
-		// resolved DIMM and seed), so the (spec, seed, scale) cache key
-		// is collision-free and replay jobs participate in the result
-		// cache like registered specs.
-		cacheable: true,
-	}
-	j.cellStats = make([]campaign.CellStat, len(spec.Cells))
-	for i, c := range spec.Cells {
-		j.cellStats[i] = campaign.CellStat{Key: c.Key, Seed: spec.CellSeed(c.Key)}
-	}
+	j := newJob(spec.Name, spec, spec.Seed, 1, req.Parallel)
+	// The spec name embeds the trace content hash (which covers the
+	// resolved DIMM and seed), so the (spec, seed, scale) cache key is
+	// collision-free and replay jobs participate in the result cache
+	// like registered specs.
+	j.cacheable = true
 	s.admit(w, j)
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -50,7 +51,7 @@ func replayBody(t *testing.T, req map[string]any) string {
 
 // TestReplayEndpointDeterministicAcrossShards pins the tentpole serving
 // contract: POST /v1/replay produces the same canonical verdict
-// envelope as running the replay spec through the campaign Runner
+// envelope as running the replay spec through campaign.Run
 // directly, byte-identical at any shard count — and resubmitting the
 // same trace is served from the result cache.
 func TestReplayEndpointDeterministicAcrossShards(t *testing.T) {
@@ -63,7 +64,7 @@ func TestReplayEndpointDeterministicAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := replay.Spec(f)
-	out, err := campaign.Runner{Workers: 1}.Run(spec)
+	out, err := campaign.Run(context.Background(), spec, 1, campaign.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestReplayEndpointDeterministicAcrossShards(t *testing.T) {
 			t.Fatalf("GET result = %d", code)
 		}
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("shards=%d: served replay envelope differs from direct Runner envelope\n got: %s\nwant: %s",
+			t.Errorf("shards=%d: served replay envelope differs from direct campaign.Run envelope\n got: %s\nwant: %s",
 				shards, got, want.Bytes())
 		}
 

@@ -12,10 +12,14 @@
 // inherited from internal/campaign (per-cell seeds derive from stable
 // keys) and pinned by this package's tests.
 //
-// Capacity is bounded at two levels: Shards jobs execute concurrently
-// (each on its own campaign.Runner pool of Parallel workers) and at
-// most QueueDepth more wait. When both are full POST returns 429 with
-// a Retry-After hint — backpressure, never unbounded buffering.
+// Every job runs through one pipeline: the cells it still lacks a
+// result for execute on a local campaign.Pool — the server's shared
+// one, or a job-private one when the job pins parallel — or, on a
+// coordinator, are leased to worker nodes; campaign.AssembleOutcome
+// merges the grid either way. Capacity is bounded at two levels:
+// Shards jobs execute concurrently and at most QueueDepth more wait.
+// When both are full POST returns 429 with a Retry-After hint —
+// backpressure, never unbounded buffering.
 // DELETE cancels a job (queued jobs never start; running jobs stop
 // dispatching cells at the next boundary), Drain stops admission and
 // waits for everything admitted to finish (SIGTERM in serverd), and
@@ -60,10 +64,11 @@ var (
 type Config struct {
 	// Registry names the specs POST /v1/jobs accepts. Required.
 	Registry *campaign.Registry
-	// Shards is the number of jobs executing concurrently. Each running
-	// job gets its own campaign.Runner worker pool (the job's parallel
-	// field), so total cell concurrency is at most Shards×parallel.
-	// Default 2.
+	// Shards is the number of jobs executing concurrently. Their cells
+	// interleave on one shared work-stealing campaign.Pool of
+	// Shards×GOMAXPROCS workers, so a small grid never serializes behind
+	// a large one; a job that pins parallel runs on a private pool of
+	// that size instead. Default 2.
 	Shards int
 	// QueueDepth bounds the number of admitted-but-not-running jobs.
 	// Default 16.
@@ -95,14 +100,6 @@ type Config struct {
 	// MaxReplayBytes bounds the POST /v1/replay request body. Default
 	// 4 MiB.
 	MaxReplayBytes int64
-	// CellWorkers sizes the shared work-stealing cell pool that runs
-	// jobs submitted without an explicit parallel value: cells from all
-	// such jobs interleave on one campaign.Pool, so a small grid never
-	// serializes behind a large one. Jobs with parallel > 0 keep a
-	// dedicated per-job runner. Default Shards×GOMAXPROCS (the same
-	// total capacity the dedicated runners had); negative disables the
-	// pool (every job gets a dedicated runner, the pre-fabric behavior).
-	CellWorkers int
 	// Coordinator enables the distributed control plane (SCALING.md):
 	// the lease routes are registered, and registered-spec jobs execute
 	// on worker nodes instead of locally — the coordinator derives the
@@ -146,9 +143,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxReplayBytes == 0 {
 		c.MaxReplayBytes = 4 << 20
 	}
-	if c.CellWorkers == 0 {
-		c.CellWorkers = c.Shards * runtime.GOMAXPROCS(0)
-	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 10 * time.Second
 	}
@@ -173,7 +167,7 @@ type Server struct {
 	cache    *resultCache // nil when caching is disabled
 
 	// pool is the shared work-stealing cell scheduler for jobs without
-	// an explicit parallel value; nil when CellWorkers < 0.
+	// an explicit parallel value.
 	pool *campaign.Pool
 
 	// store is the durable job store; nil without Config.StoreDir.
@@ -252,6 +246,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:  map[string]*Job{},
 		queue: make(chan *Job, cfg.QueueDepth+extra),
 		store: st,
+		pool:  campaign.NewPool(cfg.Shards * runtime.GOMAXPROCS(0)),
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = newResultCache(cfg.CacheSize)
@@ -274,9 +269,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: route %q has no handler", pattern)
 		}
 		s.mux.HandleFunc(pattern, h)
-	}
-	if cfg.CellWorkers > 0 {
-		s.pool = campaign.NewPool(cfg.CellWorkers)
 	}
 	if cfg.Coordinator {
 		s.leases = map[string]*lease{}
@@ -382,9 +374,7 @@ func (s *Server) stopSchedulers() {
 	if stop != nil {
 		close(stop)
 	}
-	if s.pool != nil {
-		s.pool.Close()
-	}
+	s.pool.Close()
 }
 
 // shard is one worker of the job pool: it pops admitted jobs and runs
@@ -396,9 +386,13 @@ func (s *Server) shard() {
 	}
 }
 
-// runJob executes one job's campaign and finalizes it.
+// runJob executes one job and finalizes it. Every job takes the same
+// path: the cells without a result — all of them, unless recovery
+// prefilled some from the journal — run on a local pool or are leased
+// to worker nodes, and AssembleOutcome merges the full grid. Placement
+// is the only variable, and it cannot change result bytes: that is the
+// package's determinism contract.
 func (s *Server) runJob(j *Job) {
-	ctx := context.Background()
 	s.mu.Lock()
 	s.queued.Add(-1)
 	if j.canceled || j.state.terminal() {
@@ -409,87 +403,45 @@ func (s *Server) runJob(j *Job) {
 		s.mu.Unlock()
 		return
 	}
-	var cancel context.CancelFunc
-	ctx, cancel = context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	j.cancel = cancel
 	j.state = StateRunning
 	j.started = time.Now()
 	s.running.Add(1)
-	// Distributable jobs execute on worker nodes (lease.go); local
-	// execution uses the shared stealing pool unless the client pinned
-	// an explicit per-job parallelism. Neither choice can change result
-	// bytes — that is the package's determinism contract.
-	distributed := s.cfg.Coordinator && j.distributable
+	leased := s.cfg.Coordinator && j.distributable
 	// Per-job trace capture: every cell seed is reserved before any cell
 	// runs, so the hammer sessions the campaign creates record into this
 	// job's rings regardless of global tracing state. The dump becomes
-	// GET /v1/jobs/{id}/trace. Distributed jobs execute no local
-	// sessions, so there is nothing to capture.
+	// GET /v1/jobs/{id}/trace. Leased cells execute no local sessions,
+	// so there is nothing to capture.
 	var capt *obs.Capture
-	if s.cfg.TraceCap >= 0 && !distributed {
+	if s.cfg.TraceCap >= 0 && !leased {
 		capt = obs.NewCapture(s.cfg.TraceCap)
 		for _, cs := range j.cellStats {
 			capt.Reserve(cs.Seed)
 		}
 	}
+	var missing []int
+	for i, v := range j.results {
+		if v == nil {
+			missing = append(missing, i)
+		}
+	}
 	s.mu.Unlock()
-	defer cancel()
 
-	// Local execution of a recovered job runs only the cells the store
-	// has no result for; idxMap maps the run spec's indices back to the
-	// full grid (identity for fresh jobs). Distributed jobs prefill
-	// inside runDistributed instead.
-	runSpec := j.spec
-	var idxMap []int
-	if !distributed && j.recoveredResults != nil {
-		runSpec.Cells = nil
-		for i, c := range j.spec.Cells {
-			if j.recoveredResults[i] == nil {
-				runSpec.Cells = append(runSpec.Cells, c)
-				idxMap = append(idxMap, i)
-			}
-		}
-	} else {
-		idxMap = make([]int, len(j.spec.Cells))
-		for i := range idxMap {
-			idxMap[i] = i
-		}
-	}
-	// Persisted local jobs stage each cell's result from Exec until
-	// OnCell (which has the index and final stat) journals it; leased
-	// cells are journaled in handleLeaseComplete instead.
-	var staged sync.Map
-	if s.store != nil && j.persisted && !distributed {
-		exec := runSpec.Exec
-		runSpec.Exec = func(c campaign.Cell, seed int64) (any, error) {
-			v, execErr := exec(c, seed)
-			if execErr == nil {
-				staged.Store(c.Key, v)
-			}
-			return v, execErr
-		}
-	}
-	onCell := func(i int, stat campaign.CellStat) {
-		full := idxMap[i]
-		s.mu.Lock()
-		j.cellStats[full] = stat
-		j.cellsDone++
-		s.mu.Unlock()
-		if v, ok := staged.LoadAndDelete(stat.Key); ok && stat.Err == "" {
-			s.persistCell(j.ID, full, "", stat, v, nil)
-		}
-	}
-	var out *campaign.Outcome
+	start := time.Now()
+	var workers int
 	var err error
-	switch {
-	case distributed:
-		out, err = s.runDistributed(ctx, j)
-	case j.recoveredResults != nil:
-		out, err = s.runResumed(ctx, j, runSpec, idxMap, onCell)
-	case j.Parallel == 0 && s.pool != nil:
-		out, err = s.pool.RunContext(ctx, runSpec, campaign.RunOpts{OnCell: onCell})
-	default:
-		out, err = campaign.Runner{Workers: j.Parallel, OnCell: onCell}.RunContext(ctx, runSpec)
+	if leased {
+		workers = s.runLeased(ctx, j, missing)
+	} else {
+		workers, err = s.runLocal(ctx, j, missing)
+	}
+	// The run is over, so nothing writes the merge arrays any more.
+	var out *campaign.Outcome
+	if err == nil {
+		out, err = campaign.AssembleOutcome(j.spec, workers, time.Since(start), j.results, j.cellStats)
 	}
 
 	s.mu.Lock()
@@ -503,11 +455,6 @@ func (s *Server) runJob(j *Job) {
 				j.trace = buf.Bytes()
 			}
 		}
-	}
-	if out != nil {
-		// The runner's view is authoritative (it includes never-started
-		// cells after a cancellation).
-		copy(j.cellStats, out.Cells)
 	}
 	switch {
 	case j.canceled:
@@ -537,6 +484,52 @@ func (s *Server) runJob(j *Job) {
 	s.persistTerminalLocked(j)
 }
 
+// runLocal executes the missing cells in this process: on the shared
+// pool, or on a private pool of Parallel workers when the job pinned
+// one. Each cell's result and stat land in the job as the cell
+// finishes — journaled first when the job is persisted, so the status
+// never counts a cell a restart would have to re-run. Returns the pool
+// size; the error is the pool's refusal to run at all.
+func (s *Server) runLocal(ctx context.Context, j *Job, missing []int) (int, error) {
+	if len(missing) == 0 {
+		return 1, nil // recovered with every cell journaled
+	}
+	sub := j.spec
+	sub.Gather = nil // runJob's AssembleOutcome gathers the whole grid
+	sub.Cells = make([]campaign.Cell, len(missing))
+	for k, i := range missing {
+		sub.Cells[k] = j.spec.Cells[i]
+	}
+	opts := campaign.RunOpts{OnCell: func(k int, stat campaign.CellStat, v any) {
+		i := missing[k]
+		if j.persisted && stat.Err == "" {
+			s.persistCell(j.ID, i, "", stat, v, nil)
+		}
+		s.mu.Lock()
+		j.results[i], j.cellStats[i] = v, stat
+		j.cellsDone++
+		s.mu.Unlock()
+	}}
+	var out *campaign.Outcome
+	var err error
+	if j.Parallel > 0 {
+		out, err = campaign.Run(ctx, sub, j.Parallel, opts)
+	} else {
+		out, err = s.pool.RunContext(ctx, sub, opts)
+	}
+	if out == nil {
+		return 0, err
+	}
+	// The pool's stats also cover the cells a cancellation withdrew
+	// before they started, which OnCell never sees.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, i := range missing {
+		j.cellStats[i] = out.Cells[k]
+	}
+	return out.Workers, nil
+}
+
 // finishLocked moves a job to a terminal state, updates counters and
 // evicts beyond the retention bound. Caller holds s.mu.
 func (s *Server) finishLocked(j *Job, st State, errText string) {
@@ -546,6 +539,7 @@ func (s *Server) finishLocked(j *Job, st State, errText string) {
 	j.state = st
 	j.err = errText
 	j.finished = time.Now()
+	j.results = nil // nothing runs for a terminal job
 	switch st {
 	case StateDone:
 		jobsCompleted.Inc()
@@ -597,23 +591,21 @@ func (s *Server) attachManifestLocked(j *Job, out *campaign.Outcome) {
 		}
 	}
 	m.Runs = []obs.RunRecord{rec}
-	if len(j.cellNodes) > 0 {
-		// Distributed run: summarize per-node contribution (placement is
-		// scheduling noise, so it lives only in this as-executed record).
-		counts := map[string]int{}
-		for _, node := range j.cellNodes {
-			if node != "" {
-				counts[node]++
-			}
+	// Summarize each worker node's share of the leased cells (placement
+	// is scheduling noise, so it lives only in this as-executed record).
+	counts := map[string]int{}
+	for _, node := range j.cellNodes {
+		if node != "" {
+			counts[node]++
 		}
-		names := make([]string, 0, len(counts))
-		for name := range counts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			m.Nodes = append(m.Nodes, obs.NodeRecord{Name: name, Cells: counts[name]})
-		}
+	}
+	names := make([]string, 0, len(counts))
+	for name := range counts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		m.Nodes = append(m.Nodes, obs.NodeRecord{Name: name, Cells: counts[name]})
 	}
 	if obs.Enabled() {
 		m.Counters = obs.Default.Values()
@@ -637,8 +629,8 @@ type jobRequest struct {
 	Spec   string      `json:"spec,omitempty"`
 	Inline *InlineSpec `json:"inline,omitempty"`
 	// Seed defaults to the server's DefaultSeed, Scale to 1. Parallel
-	// (the per-job campaign worker pool; 0 = GOMAXPROCS) never changes
-	// result bytes.
+	// (0 = the shared cell pool, N > 0 = a private pool of N workers)
+	// never changes result bytes.
 	Seed     *int64  `json:"seed,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
 	Parallel int     `json:"parallel,omitempty"`
@@ -700,15 +692,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := &Job{
-		SpecName: name,
-		Seed:     seed,
-		Scale:    scale,
-		Parallel: req.Parallel,
-		state:    StateQueued,
-		created:  time.Now(),
-		spec:     spec,
-	}
+	j := newJob(name, spec, seed, scale, req.Parallel)
 	j.cacheable = req.Inline == nil
 	// Only registry-built jobs can execute on worker nodes: a worker
 	// rebuilds the spec from (name, seed, scale) against its own
@@ -717,10 +701,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// rebuilds the spec the identical way.
 	j.distributable = req.Inline == nil
 	j.persisted = s.store != nil && req.Inline == nil
-	j.cellStats = make([]campaign.CellStat, len(spec.Cells))
-	for i, c := range spec.Cells {
-		j.cellStats[i] = campaign.CellStat{Key: c.Key, Seed: spec.CellSeed(c.Key)}
-	}
 	s.admit(w, j)
 }
 

@@ -9,12 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rhohammer/internal/campaign"
 	"rhohammer/internal/experiments"
 	"rhohammer/internal/obs"
+	"rhohammer/internal/store"
 )
 
 // tinyRegistry registers one four-cell spec whose results are pure
@@ -49,6 +52,29 @@ func blockingRegistry(gate chan struct{}) *campaign.Registry {
 				Exec: func(c campaign.Cell, seed int64) (any, error) {
 					<-gate
 					return "released", nil
+				},
+			}
+		},
+	})
+	return r
+}
+
+// gatedRegistry registers a four-cell spec whose cells c and d block
+// until gate is closed; count observes every Exec call by cell key.
+func gatedRegistry(gate <-chan struct{}, count func(key string)) *campaign.Registry {
+	r := campaign.NewRegistry()
+	r.Register(campaign.Entry{
+		Name: "gated", Kind: campaign.KindAux, Title: "two free cells, two gated",
+		Build: func(p campaign.Params) campaign.Spec {
+			return campaign.Spec{
+				Name: "gated", Kind: campaign.KindAux, Seed: p.Seed,
+				Cells: []campaign.Cell{{Key: "a"}, {Key: "b"}, {Key: "c"}, {Key: "d"}},
+				Exec: func(c campaign.Cell, seed int64) (any, error) {
+					count(c.Key)
+					if c.Key == "c" || c.Key == "d" {
+						<-gate
+					}
+					return fmt.Sprintf("%s#%d", c.Key, seed), nil
 				},
 			}
 		},
@@ -97,7 +123,8 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // doJSON issues one request and decodes the JSON response into out
-// (skipped when out is nil), returning status code and headers.
+// (skipped when out is nil or the response is a bodiless 204),
+// returning status code and headers.
 func doJSON(t *testing.T, method, url, body string, out any) (int, http.Header) {
 	t.Helper()
 	var rd io.Reader
@@ -117,7 +144,7 @@ func doJSON(t *testing.T, method, url, body string, out any) (int, http.Header) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != nil {
+	if out != nil && resp.StatusCode != http.StatusNoContent {
 		if err := json.Unmarshal(data, out); err != nil {
 			t.Fatalf("%s %s: decoding %q: %v", method, url, data, err)
 		}
@@ -194,10 +221,10 @@ func TestJobLifecycleAndResultEnvelope(t *testing.T) {
 		}
 	}
 
-	// The served envelope must be byte-identical to writing the direct
-	// Runner outcome through the canonical exporter.
+	// The served envelope must be byte-identical to writing a direct
+	// campaign.Run outcome through the canonical exporter.
 	entry, _ := reg.Lookup("tiny")
-	out, err := campaign.Runner{Workers: 2}.Run(entry.Build(campaign.Params{Seed: 7, Scale: 1}))
+	out, err := campaign.Run(context.Background(), entry.Build(campaign.Params{Seed: 7, Scale: 1}), 2, campaign.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +238,7 @@ func TestJobLifecycleAndResultEnvelope(t *testing.T) {
 		t.Fatalf("GET result = %d", code)
 	}
 	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("served envelope differs from direct Runner envelope:\n got: %s\nwant: %s", got, want.Bytes())
+		t.Errorf("served envelope differs from direct campaign.Run envelope:\n got: %s\nwant: %s", got, want.Bytes())
 	}
 
 	// ?timings=1 keeps the envelope shape but restores scheduling data.
@@ -396,6 +423,155 @@ func TestDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 	}
 	if code, _ := fetch(t, ts.URL+st.ResultURL); code != http.StatusOK {
 		t.Errorf("result after drain = %d, want 200", code)
+	}
+}
+
+// TestLocalCellsJournaledAcrossCrash: a standalone server with a store
+// journals each cell it executes itself, as the cell finishes. Crashed
+// with two cells done and two in flight, a restarted server re-executes
+// only the cells without a journal record, and its envelope matches an
+// uninterrupted run.
+func TestLocalCellsJournaledAcrossCrash(t *testing.T) {
+	open := make(chan struct{})
+	close(open)
+	want := standaloneEnvelope(t, gatedRegistry(open, func(string) {}), `{"spec":"gated","seed":7}`)
+
+	gate := make(chan struct{})
+	cfg := Config{Registry: gatedRegistry(gate, func(string) {}), StoreDir: t.TempDir()}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	id := submit(t, ts1, `{"spec":"gated","seed":7}`)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var st jobStatus
+		doJSON(t, "GET", ts1.URL+"/v1/jobs/"+id, "", &st)
+		if st.CellsDone == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cells a and b never completed: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// crash closes the store before it starts draining, so once healthz
+	// reports draining, the gated cells' results — computed after the
+	// gate opens — can no longer reach the journal.
+	crashed := make(chan struct{})
+	go func() {
+		s1.crash()
+		close(crashed)
+	}()
+	for {
+		var h healthStatus
+		if code, _ := doJSON(t, "GET", ts1.URL+"/healthz", "", &h); code == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("crashed server never reported draining")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	<-crashed
+	ts1.Close()
+
+	var mu sync.Mutex
+	reran := map[string]int{}
+	cfg.Registry = gatedRegistry(open, func(key string) {
+		mu.Lock()
+		reran[key]++
+		mu.Unlock()
+	})
+	_, ts2 := newTestServer(t, cfg)
+	fin := waitTerminal(t, ts2, id)
+	if fin.State != StateDone || !fin.Recovered || fin.CellsDone != 4 {
+		t.Fatalf("resumed job = %+v, want recovered done job with 4 cells", fin)
+	}
+	mu.Lock()
+	got := fmt.Sprint(reran)
+	mu.Unlock()
+	if got != "map[c:1 d:1]" {
+		t.Errorf("restart executed %s, want only the unjournaled cells c and d, once each", got)
+	}
+	if code, body := fetch(t, ts2.URL+fin.ResultURL); code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Errorf("resumed result = %d, equal to uninterrupted %v", code, bytes.Equal(body, want))
+	}
+}
+
+// TestRecoveredJobWithEveryCellJournaled: a crash after a job's last
+// cell is journaled but before its done record leaves nothing to run
+// on restart. The restarted server must still finish the job with the
+// uninterrupted envelope, executing no cell — on the shared pool and on
+// a pinned private pool. The spec gathers results[0], as the registered
+// one-cell experiments do, so a Gather over an empty sub-grid panics.
+func TestRecoveredJobWithEveryCellJournaled(t *testing.T) {
+	for _, parallel := range []int{0, 2} {
+		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+			var execs atomic.Int64
+			reg := campaign.NewRegistry()
+			reg.Register(campaign.Entry{
+				Name: "single", Kind: campaign.KindAux, Title: "one gathered cell",
+				Build: func(p campaign.Params) campaign.Spec {
+					return campaign.Spec{
+						Name: "single", Kind: campaign.KindAux, Seed: p.Seed,
+						Cells: []campaign.Cell{{Key: "only"}},
+						Exec: func(c campaign.Cell, seed int64) (any, error) {
+							execs.Add(1)
+							return fmt.Sprintf("%s#%d", c.Key, seed), nil
+						},
+						Gather: func(results []any) any { return results[0] },
+					}
+				},
+			})
+			want := standaloneEnvelope(t, reg, fmt.Sprintf(`{"spec":"single","seed":7,"parallel":%d}`, parallel))
+
+			dir := t.TempDir()
+			st, _, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const id = "job-000003"
+			if err := st.AppendJob(store.JobMeta{
+				ID: id, Spec: "single", Seed: 7, Scale: 1, Parallel: parallel, Created: time.Unix(0, 42).UTC(),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			entry, _ := reg.Lookup("single")
+			spec := entry.Build(campaign.Params{Seed: 7, Scale: 1})
+			seed := spec.CellSeed("only")
+			result, _ := spec.Exec(spec.Cells[0], seed)
+			data, err := campaign.EncodeResult(result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.AppendCell(id, store.CellResult{
+				Index: 0, Key: "only",
+				Stat:   campaign.CellStat{Key: "only", Seed: seed, Attempts: 1},
+				Result: data,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			execs.Store(0)
+			_, ts := newTestServer(t, Config{Registry: reg, StoreDir: dir})
+			fin := waitTerminal(t, ts, id)
+			if fin.State != StateDone || !fin.Recovered || fin.CellsDone != 1 {
+				t.Fatalf("resumed job = %+v, want recovered done job with 1 cell", fin)
+			}
+			if n := execs.Load(); n != 0 {
+				t.Errorf("restart executed %d cells, want 0", n)
+			}
+			if code, body := fetch(t, ts.URL+fin.ResultURL); code != http.StatusOK || !bytes.Equal(body, want) {
+				t.Errorf("resumed result = %d, equal to uninterrupted %v", code, bytes.Equal(body, want))
+			}
+		})
 	}
 }
 

@@ -37,8 +37,8 @@ type Worker struct {
 	// Name is the worker's human-readable label in GET /v1/workers and
 	// manifests. Optional.
 	Name string
-	// Parallel bounds cell concurrency within a leased batch
-	// (campaign.Runner workers; 0 = GOMAXPROCS).
+	// Parallel sizes the worker's campaign.Pool, which runs every leased
+	// batch for the worker's whole lifetime (0 = GOMAXPROCS).
 	Parallel int
 	// MaxCells caps the batch requested per lease; 0 defers to the
 	// coordinator's bound.
@@ -74,6 +74,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
+	pool := campaign.NewPool(w.Parallel)
+	defer pool.Close()
 	for w.ID() == "" {
 		if err := w.register(ctx); err != nil {
 			if sleepErr := sleepCtx(ctx, poll); sleepErr != nil {
@@ -101,7 +103,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		w.serve(ctx, grant)
+		w.serve(ctx, pool, grant)
 	}
 }
 
@@ -166,7 +168,7 @@ func (w *Worker) acquire(ctx context.Context) (*leaseGrant, error) {
 // heartbeat while running, post completion. Failures inside a cell are
 // reported through the cell's stat; a lost lease (410) means the
 // results belong to nobody and are dropped.
-func (w *Worker) serve(ctx context.Context, grant *leaseGrant) {
+func (w *Worker) serve(ctx context.Context, pool *campaign.Pool, grant *leaseGrant) {
 	sub, err := w.subSpec(grant)
 	if err != nil {
 		// A spec mismatch is unrecoverable for this lease; let it expire
@@ -181,11 +183,10 @@ func (w *Worker) serve(ctx context.Context, grant *leaseGrant) {
 	defer stopRenew()
 	go w.renewLoop(renewCtx, grant.LeaseID)
 
-	out, runErr := campaign.Runner{Workers: w.Parallel}.RunContext(ctx, sub)
+	out, _ := pool.RunContext(ctx, sub, campaign.RunOpts{})
 	stopRenew()
 	if out == nil {
 		// Validation failure only; nothing to report.
-		_ = runErr
 		return
 	}
 
