@@ -11,6 +11,10 @@
 // stable enough to diff. The campaign-sized entries run once each and
 // are reported for context but never fail the gate.
 //
+// Two snapshots taken on hosts with different core counts (num_cpu)
+// are not comparable, so benchdiff refuses them and exits non-zero,
+// naming both counts.
+//
 // Usage:
 //
 //	go run ./cmd/benchdiff                    # two newest BENCH_*.json in .
@@ -25,6 +29,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,6 +53,7 @@ type Benchmark struct {
 type Report struct {
 	Date       string      `json:"date"`
 	GitRev     string      `json:"git_rev"`
+	NumCPU     int         `json:"num_cpu"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -56,55 +62,77 @@ type Report struct {
 const defaultPins = "BenchmarkHammerThroughput|BenchmarkHammerPatternSteadyState|BenchmarkActivate|BenchmarkMappingRecovery"
 
 func main() {
-	dir := flag.String("dir", ".", "directory holding BENCH_*.json snapshots")
-	oldPath := flag.String("old", "", "baseline snapshot (default: second-newest in -dir)")
-	newPath := flag.String("new", "", "candidate snapshot (default: newest in -dir)")
-	pins := flag.String("pin", defaultPins,
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main: it parses args, compares the
+// snapshots, prints the report to stdout and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("dir", ".", "directory holding BENCH_*.json snapshots")
+	oldPath := fs.String("old", "", "baseline snapshot (default: second-newest in -dir)")
+	newPath := fs.String("new", "", "candidate snapshot (default: newest in -dir)")
+	pins := fs.String("pin", defaultPins,
 		"regexp of steady-state benchmarks the gate applies to")
-	maxNs := flag.Float64("max-ns-regress", 0.10,
+	maxNs := fs.Float64("max-ns-regress", 0.10,
 		"maximum tolerated fractional ns/op regression on pinned benchmarks")
-	allocSlack := flag.Float64("alloc-slack", 0.001,
+	allocSlack := fs.Float64("alloc-slack", 0.001,
 		"fractional allocs/op jitter tolerated (one-time setup amortized over differing iteration counts); 0->N always fails")
-	reportPath := flag.String("report", "", "also write the comparison report to this file")
-	flag.Parse()
+	reportPath := fs.String("report", "", "also write the comparison report to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 1
+	}
 
 	if (*oldPath == "") != (*newPath == "") {
-		fatal(fmt.Errorf("-old and -new must be given together"))
+		return fail(fmt.Errorf("-old and -new must be given together"))
 	}
 	if *oldPath == "" {
 		var err error
 		*oldPath, *newPath, err = newestPair(*dir)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	pinRe, err := regexp.Compile(*pins)
 	if err != nil {
-		fatal(fmt.Errorf("bad -pin regexp: %w", err))
+		return fail(fmt.Errorf("bad -pin regexp: %w", err))
 	}
 
 	oldRep, err := load(*oldPath)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	newRep, err := load(*newPath)
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	if oldRep.NumCPU != newRep.NumCPU {
+		return fail(fmt.Errorf("refusing to compare snapshots from different core counts: %s has num_cpu %d, %s has num_cpu %d",
+			filepath.Base(*oldPath), oldRep.NumCPU, filepath.Base(*newPath), newRep.NumCPU))
 	}
 
 	var b strings.Builder
 	failures := diff(&b, oldRep, newRep, *oldPath, *newPath, pinRe, *maxNs, *allocSlack)
 
-	fmt.Print(b.String())
+	fmt.Fprint(stdout, b.String())
 	if *reportPath != "" {
 		if err := os.WriteFile(*reportPath, []byte(b.String()), 0o644); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d pinned benchmark(s) regressed\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchdiff: %d pinned benchmark(s) regressed\n", failures)
+		return 1
 	}
+	return 0
 }
 
 // newestPair returns the two lexically-last BENCH_*.json files in dir
@@ -139,8 +167,8 @@ func load(path string) (*Report, error) {
 // diff writes the comparison report and returns the number of gate
 // failures among pinned benchmarks.
 func diff(w io.Writer, oldRep, newRep *Report, oldPath, newPath string, pin *regexp.Regexp, maxNs, allocSlack float64) int {
-	fmt.Fprintf(w, "benchdiff: %s (%s) -> %s (%s)\n",
-		filepath.Base(oldPath), rev(oldRep), filepath.Base(newPath), rev(newRep))
+	fmt.Fprintf(w, "benchdiff: %s (%s) -> %s (%s), num_cpu %d\n",
+		filepath.Base(oldPath), rev(oldRep), filepath.Base(newPath), rev(newRep), newRep.NumCPU)
 	fmt.Fprintf(w, "gate: pinned ns/op regression > %.0f%% or any allocs/op regression fails\n\n", maxNs*100)
 
 	oldBy := map[string]Benchmark{}
@@ -206,9 +234,4 @@ func rev(r *Report) string {
 		return r.Date + "@" + r.GitRev[:8]
 	}
 	return r.Date + "@" + r.GitRev
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
 }

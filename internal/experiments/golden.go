@@ -33,7 +33,10 @@ func GoldenConfig() Config { return Config{Seed: 42, Scale: 0.5} }
 // allocator x hammerer x victim grid). The trace-replay PR added
 // replay-roundtrip: live session traces decoded and replayed through
 // the differential oracle, pinning the trace schema, the codec and the
-// replay engine alongside the physics.
+// replay engine alongside the physics. table5 runs all four recovery
+// tools on all four platforms, pinning the attacker page pool
+// (mem.NewPool) and the reverse-engineering stack, which no other
+// golden builds.
 func Goldens() []Golden {
 	return []Golden{
 		{"table3", "2f84c61faa970673992c87c7caad8b41e80f626407b980ad17179b7bf495096e"},
@@ -42,6 +45,7 @@ func Goldens() []Golden {
 		{"e2e", "c7fcaa6323a0c9c57d56ce5e93a27a7a705c2ad9e6e64e0721ef6b9c9d4fcbd0"},
 		{"chain", "5071e8202b325c2452733047602cfa11ae2cb3da98837c49ba70d9bbd1d0d8a4"},
 		{"replay-roundtrip", "2299acc49b1c92061b7eac245a7b41edfe618619f2bab6eb1eda722d27d7dc92"},
+		{"table5", "a46dd92ca730824d71773ac6e14c8fe6b0c41d3a8351da8000ba7a4136bcf83f"},
 	}
 }
 

@@ -1,7 +1,11 @@
 package mem
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math/bits"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +19,46 @@ func TestPoolShare(t *testing.T) {
 	want := int(float64(pages) * 0.7)
 	if p.Pages() != want {
 		t.Errorf("pages = %d, want %d", p.Pages(), want)
+	}
+}
+
+// TestPoolPinned pins NewPool's output byte for byte. Each case hashes
+// the allocation order (one little-endian uint64 per entry), the
+// membership of every frame, and the next Int63 of the caller's source:
+// the measurer keeps drawing from that source, so a construction that
+// consumed a different number of draws would shift every recovery
+// after it even if the pool came out the same.
+func TestPoolPinned(t *testing.T) {
+	for _, c := range []struct {
+		bytes uint64
+		share float64
+		seed  int64
+		want  string
+	}{
+		{1 << 26, 1.0, 21, "e8e13af6db8fb5407387a1586e3cf301d773f900bf4f10a9084ab74e19097298"}, // last draw is Int63n(1)
+		{1 << 28, 0.3, 22, "1df8f4bf9361567a78d01e498dda0981b727085e9f703ec53b7ceefa05f54422"},
+		{1 << 30, 0.7, 23, "ea2ad7ac230157b8ce68ad6a92db1539b485520fd0772543e7427e0e6fc22ed2"},
+		{1 << 34, 0.7, 24, "cf1c090bc95f33cf9ed19244696575a2080235c7ddbaad50fd756950f00d6026"},
+	} {
+		t.Run(fmt.Sprintf("%dMiB@%.1f", c.bytes>>20, c.share), func(t *testing.T) {
+			r := stats.NewRand(c.seed)
+			p := NewPool(c.bytes, c.share, r)
+			buf := make([]byte, 0, 8*len(p.allocIdx)+int(c.bytes/PageSize)+8)
+			for _, f := range p.allocIdx {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(f))
+			}
+			for f := uint64(0); f < c.bytes/PageSize; f++ {
+				if p.Has(f * PageSize) {
+					buf = append(buf, 1)
+				} else {
+					buf = append(buf, 0)
+				}
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Int63()))
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf)); got != c.want {
+				t.Errorf("pool hash = %s, want %s (pages=%d)", got, c.want, p.Pages())
+			}
+		})
 	}
 }
 
@@ -66,21 +110,76 @@ func TestPairDifferingInRejectsBadMasks(t *testing.T) {
 	}
 }
 
+// TestPoolPanics checks every rejected argument panics with a mem:
+// message at construction, before anything is allocated or drawn.
 func TestPoolPanics(t *testing.T) {
 	r := stats.NewRand(5)
-	for _, f := range []func(){
-		func() { NewPool(12345, 0.5, r) }, // unaligned
-		func() { NewPool(1<<20, 0, r) },   // zero share
-		func() { NewPool(1<<20, 1.5, r) }, // share > 1
+	for name, f := range map[string]func(){
+		"unaligned":        func() { NewPool(12345, 0.5, r) },
+		"zero share":       func() { NewPool(1<<20, 0, r) },
+		"share above 1":    func() { NewPool(1<<20, 1.5, r) },
+		"no page selected": func() { NewPool(PageSize, 0.5, r) },
+		"empty space":      func() { NewPool(0, 1, r) },
+		"over 2^32 frames": func() { NewPool((1<<32+1)*PageSize, 0.7, r) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "mem: ") {
+					t.Errorf("%s: recovered %q, want a mem: panic", name, msg)
 				}
 			}()
 			f()
 		}()
+	}
+}
+
+// TestPoolAbove4GiB checks frame indices widen before they scale to
+// addresses: on a 16 GiB pool three quarters of the frames lie above
+// 4 GiB, and RandomAddr, Has and PairDifferingIn must all reach them.
+func TestPoolAbove4GiB(t *testing.T) {
+	r := stats.NewRand(15)
+	p := NewPool(1<<34, 0.7, r)
+	high := 0
+	for i := 0; i < 1000; i++ {
+		a := p.RandomAddr()
+		if a >= p.PhysBytes || !p.Has(a) {
+			t.Fatalf("RandomAddr returned %#x: outside the pool or not allocated", a)
+		}
+		if a >= 1<<32 {
+			high++
+		}
+	}
+	if high < 600 {
+		t.Errorf("%d of 1000 addresses above 4 GiB, want about 750", high)
+	}
+	// Has holds for exactly the drawn frames: each of them, and no more
+	// frames than were drawn.
+	for _, f := range p.allocIdx {
+		if !p.Has(uint64(f)*PageSize + PageSize - 1) {
+			t.Fatalf("drawn frame %#x not reported allocated", f)
+		}
+	}
+	allocated := 0
+	for pa := uint64(0); pa < p.PhysBytes; pa += PageSize {
+		if p.Has(pa) {
+			allocated++
+		}
+	}
+	if allocated != p.Pages() {
+		t.Errorf("Has reports %d frames, pool holds %d", allocated, p.Pages())
+	}
+	if p.Has(p.PhysBytes) || p.Has(1<<40) {
+		t.Error("Has beyond the pool")
+	}
+	for try := 0; try < 16; try++ {
+		a, b, ok := p.PairDifferingIn(1 << 33)
+		if !ok {
+			t.Fatal("no pair differing in bit 33")
+		}
+		if a^b != 1<<33 || !p.Has(a) || !p.Has(b) {
+			t.Fatalf("pair %#x/%#x: want an allocated pair differing in bit 33", a, b)
+		}
 	}
 }
 
@@ -277,5 +376,21 @@ func TestBlockBytes(t *testing.T) {
 	}
 	if bits.OnesCount64(BlockBytes(5)) != 1 {
 		t.Error("block sizes must be powers of two")
+	}
+}
+
+var poolSink *Pool
+
+// BenchmarkNewPool builds the 70% attacker pool at the three capacities
+// the remap workload recovers: 2, 4 and 8 Mi frames.
+func BenchmarkNewPool(b *testing.B) {
+	for _, gib := range []uint64{8, 16, 32} {
+		b.Run(fmt.Sprintf("%dGiB", gib), func(b *testing.B) {
+			b.ReportAllocs()
+			r := stats.NewRand(1)
+			for i := 0; i < b.N; i++ {
+				poolSink = NewPool(gib<<30, 0.7, r)
+			}
+		})
 	}
 }

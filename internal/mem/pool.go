@@ -17,18 +17,37 @@ const PageSize = 4096
 // Pool is a set of allocated physical 4 KiB frames covering a fraction
 // of the machine's physical address space, as obtained by a userspace
 // process that allocates aggressively and reads /proc/self/pagemap.
+//
+// A Pool stores its frames twice: allocIdx lists them in the order
+// NewPool drew them, and frames is a bitset over the whole frame space.
+// The draw order is part of the output, not an implementation detail:
+// RandomAddr picks frames by position in allocIdx, and the caller's
+// source continues from wherever construction left it, so drawing in a
+// different order or a different number of times would change every
+// address pair built on the pool.
 type Pool struct {
 	// PhysBytes is the size of the physical address space.
 	PhysBytes uint64
 
-	frames   []bool // frame index -> allocated
-	allocIdx []uint64
+	allocIdx []uint32 // allocated frame indices, in draw order
+	frames   []uint64 // bitset: frame index -> allocated
 	rand     *stats.Rand
 }
 
+// maxFrames is the largest frame space NewPool accepts: allocIdx holds
+// uint32 frame indices, so 2^32 frames (16 TiB).
+const maxFrames = 1 << 32
+
+// drawChunk is how many shuffle draws NewPool takes before it runs
+// their swaps: a 4 KiB stack array, and far more swaps than a core
+// keeps loads in flight for.
+const drawChunk = 1024
+
 // NewPool allocates `share` (0..1] of a physical address space of the
 // given size, choosing frames pseudo-randomly like a fragmented buddy
-// allocator would. The paper's tool allocates 70%.
+// allocator would. The paper's tool allocates 70%. It panics if the
+// size is not page aligned or exceeds 2^32 frames, if share is out of
+// range, or if share selects no page.
 func NewPool(physBytes uint64, share float64, r *stats.Rand) *Pool {
 	if physBytes%PageSize != 0 {
 		panic("mem: physical size must be page aligned")
@@ -37,23 +56,45 @@ func NewPool(physBytes uint64, share float64, r *stats.Rand) *Pool {
 		panic(fmt.Sprintf("mem: allocation share %v out of (0,1]", share))
 	}
 	n := physBytes / PageSize
-	p := &Pool{
-		PhysBytes: physBytes,
-		frames:    make([]bool, n),
-		rand:      r,
+	if n > maxFrames {
+		panic(fmt.Sprintf("mem: %d frames exceed the %d-frame limit (16 TiB)", n, uint64(maxFrames)))
 	}
 	want := uint64(float64(n) * share)
-	// Sample distinct frames via a partial Fisher-Yates shuffle over
-	// the frame index space.
-	perm := make([]uint64, n)
-	for i := range perm {
-		perm[i] = uint64(i)
+	if want == 0 {
+		panic(fmt.Sprintf("mem: share %v of %d frames selects no page", share, n))
 	}
-	for i := uint64(0); i < want; i++ {
-		j := i + uint64(r.Int63n(int64(n-i)))
-		perm[i], perm[j] = perm[j], perm[i]
-		p.frames[perm[i]] = true
-		p.allocIdx = append(p.allocIdx, perm[i])
+	// Sample distinct frames via a partial Fisher-Yates shuffle over
+	// the frame index space. Positions below i are final after step i,
+	// so the first want entries are the allocation order.
+	perm := make([]uint32, n)
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	// The draws do not depend on the shuffle, so they are taken a chunk
+	// at a time (one Int63n(n-i) per selected page, in order, exactly
+	// as in a plain loop) and the chunk's swaps then run back to back:
+	// their random loads overlap instead of each one waiting behind the
+	// draw that addresses it.
+	var js [drawChunk]uint32
+	for i := uint64(0); i < want; i += drawChunk {
+		chunk := js[:min(want-i, drawChunk)]
+		for k := range chunk {
+			step := i + uint64(k)
+			chunk[k] = uint32(step + uint64(r.Int63n(int64(n-step))))
+		}
+		for k, j := range chunk {
+			step := i + uint64(k)
+			perm[step], perm[j] = perm[j], perm[step]
+		}
+	}
+	p := &Pool{
+		PhysBytes: physBytes,
+		allocIdx:  perm[:want:want],
+		frames:    make([]uint64, (n+63)/64),
+		rand:      r,
+	}
+	for _, f := range p.allocIdx {
+		p.frames[f/64] |= 1 << (f % 64)
 	}
 	return p
 }
@@ -65,13 +106,13 @@ func (p *Pool) Pages() int { return len(p.allocIdx) }
 // allocated to the attacker.
 func (p *Pool) Has(pa uint64) bool {
 	f := pa / PageSize
-	return f < uint64(len(p.frames)) && p.frames[f]
+	return f/64 < uint64(len(p.frames)) && p.frames[f/64]&(1<<(f%64)) != 0
 }
 
 // RandomAddr returns a random allocated, cache-line aligned physical
 // address.
 func (p *Pool) RandomAddr() uint64 {
-	f := p.allocIdx[p.rand.Intn(len(p.allocIdx))]
+	f := uint64(p.allocIdx[p.rand.Intn(len(p.allocIdx))])
 	line := uint64(p.rand.Intn(PageSize/64)) * 64
 	return f*PageSize + line
 }
