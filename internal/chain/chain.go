@@ -22,9 +22,9 @@
 // Determinism contract: an Engine consumes the session's RNG streams in
 // a fixed order (allocate, then template each region in address order,
 // then attempt each target in templating order), so a chain's outcome
-// is a pure function of (platform, DIMM, seed, plan). The legacy
-// internal/exploit entry point is a thin wrapper over the
-// buddy/rho/pte triple and its output bytes are pinned by goldens.
+// is a pure function of (platform, DIMM, seed, plan). The e2e
+// experiment runs the buddy/rho/pte triple and its output bytes are
+// pinned by goldens.
 package chain
 
 import (
@@ -152,8 +152,8 @@ func Reproduced(flips []dram.Flip, want dram.Flip) bool {
 }
 
 // Typed chain errors. The engine wraps stage failures in these so
-// callers (the exploit compatibility wrapper, the chain-grid campaign)
-// can tell failure modes apart without string matching.
+// callers (cmd/exploit, the chain-grid campaign) can tell failure modes
+// apart without string matching.
 
 // AllocError reports an Allocator failure.
 type AllocError struct{ Err error }

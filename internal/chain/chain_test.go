@@ -8,6 +8,7 @@ import (
 
 	"rhohammer/internal/arch"
 	"rhohammer/internal/chain"
+	"rhohammer/internal/dram"
 	"rhohammer/internal/hammer"
 )
 
@@ -179,20 +180,105 @@ func TestCompactPatternSkippedOnTHP(t *testing.T) {
 // huge pattern's footprint (aggressors at MaxOffset, victims two rows
 // above) must fit the 8-row window of a 2 MiB region.
 func TestHugePatternFitsTHPWindow(t *testing.T) {
-	for _, p := range []struct {
-		name   string
-		pat    interface{ MaxOffset() int }
-		window int
+	p := chain.HugePattern()
+	if err := p.Validate(); err != nil {
+		t.Fatalf("huge pattern invalid: %v", err)
+	}
+	if got := p.MaxOffset() + 3; got > 8 {
+		t.Errorf("huge pattern needs %d rows, window is 8", got)
+	}
+}
+
+// TestCompactPatternFitsRegion pins the buddy pairing: a 4 MiB region
+// spans 16 consecutive rows per bank on the 16 GiB mappings (row bits
+// 18-21 inside the region), and the compact pattern must fit them.
+func TestCompactPatternFitsRegion(t *testing.T) {
+	p := chain.CompactPattern()
+	if err := p.Validate(); err != nil {
+		t.Fatalf("compact pattern invalid: %v", err)
+	}
+	if got := p.MaxOffset() + 3; got > 16 {
+		t.Errorf("compact pattern needs %d rows, window is 16", got)
+	}
+}
+
+// TestPTEVictimClassify pins the PTE-bit classification: a flip's bit
+// within its 8-byte PTE is (ByteInRow%8)*8 + Bit, only bits inside
+// [PFNLo, PFNHi] become targets, and targets keep templating order and
+// the flip's physical address.
+func TestPTEVictimClassify(t *testing.T) {
+	s := session(t, arch.RaptorLake(), "S3", 42)
+	cases := []struct {
+		byteInRow   int
+		bit         uint8
+		pteBit      int
+		exploitable bool
 	}{
-		{"huge", chain.HugePattern(), 8},
-		{"compact", chain.CompactPattern(), 16},
-	} {
-		if got := p.pat.MaxOffset() + 3; got > p.window {
-			t.Errorf("%s pattern needs %d rows, window is %d", p.name, got, p.window)
+		{0, 0, 0, false},  // flags byte
+		{1, 4, 12, true},  // lowest PFN bit
+		{2, 3, 19, true},  // highest exploitable bit
+		{2, 4, 20, false}, // just above the range
+		{9, 4, 12, true},  // second PTE in the row
+		{7, 7, 63, false}, // NX bit
+	}
+	var v chain.PTEVictim
+	var flips []chain.Flip
+	var wantBits []int
+	for _, c := range cases {
+		f := dram.Flip{Bank: 1, Row: 100, ByteInRow: c.byteInRow, Bit: c.bit}
+		pa, err := s.Map.PhysAddr(f.Bank, f.Row, uint64(f.ByteInRow))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf := chain.Flip{Flip: f, PhysAddr: pa}
+		flips = append(flips, cf)
+		targets := v.Classify(s, []chain.Flip{cf})
+		if got := len(targets) == 1; got != c.exploitable {
+			t.Errorf("byte %d bit %d: exploitable = %v, want %v", c.byteInRow, c.bit, got, c.exploitable)
+			continue
+		}
+		if c.exploitable {
+			wantBits = append(wantBits, c.pteBit)
+			if targets[0].Bit != c.pteBit {
+				t.Errorf("byte %d bit %d: PTE bit = %d, want %d", c.byteInRow, c.bit, targets[0].Bit, c.pteBit)
+			}
 		}
 	}
-	if err := chain.HugePattern().Validate(); err != nil {
-		t.Errorf("huge pattern invalid: %v", err)
+	var gotBits []int
+	for _, tg := range v.Classify(s, flips) {
+		gotBits = append(gotBits, tg.Bit)
+		if s.Map.Bank(tg.Flip.PhysAddr) != 1 || s.Map.Row(tg.Flip.PhysAddr) != 100 {
+			t.Errorf("target physical address %#x does not decode back to bank 1 row 100", tg.Flip.PhysAddr)
+		}
+	}
+	if !reflect.DeepEqual(gotBits, wantBits) {
+		t.Errorf("targets carry PTE bits %v, want %v in templating order", gotBits, wantBits)
+	}
+}
+
+// TestReproduced checks the location-stability match: same bank, row,
+// byte and bit.
+func TestReproduced(t *testing.T) {
+	f := dram.Flip{Bank: 1, Row: 2, ByteInRow: 3, Bit: 4}
+	if !chain.Reproduced([]dram.Flip{{}, f}, f) {
+		t.Error("matching flip not found")
+	}
+	if chain.Reproduced([]dram.Flip{{Bank: 1, Row: 2, ByteInRow: 3, Bit: 5}}, f) {
+		t.Error("different bit matched")
+	}
+}
+
+// TestPlanBlockedByPTRR runs the paper's triple with the platform pTRR
+// mitigation on: the chain must not reach page-table read/write.
+func TestPlanBlockedByPTRR(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end chains")
+	}
+	s := session(t, arch.RaptorLake(), "S3", 42)
+	s.EnablePTRR(true)
+	res, err := (chain.Plan{Regions: 6}).Run(s)
+	if err == nil || res.Success {
+		t.Errorf("chain succeeded under pTRR (flips %d)", res.TotalFlips)
 	}
 }
 
@@ -219,8 +305,61 @@ func TestGridCompositionsSucceed(t *testing.T) {
 				if res.Phases.TotalNS() <= 0 || res.Phases.AllocNS <= 0 {
 					t.Errorf("phase timings missing: %+v", res.Phases)
 				}
+				if p.Key() == "buddy-rho-pte" {
+					checkSelfReference(t, s, res)
+				}
 			})
 		}
+	}
+}
+
+// TestEndToEndSucceedsOnRaptor runs the paper's §5.3 triple at the
+// legacy end-to-end budget (10 regions, 150 ms per location): the chain
+// must succeed with templated flips, spend simulated time outside
+// templating, and corrupt a PTE into a self-reference.
+func TestEndToEndSucceedsOnRaptor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end chains")
+	}
+	s := session(t, arch.RaptorLake(), "S3", 42)
+	res, err := (chain.Plan{Regions: 10, DurationPerLocationNS: 150e6}).Run(s)
+	if err != nil {
+		t.Fatalf("chain failed: %v (flips %d, targets %d)", err, res.TotalFlips, len(res.Targets))
+	}
+	if !res.Success {
+		t.Fatal("no success flag")
+	}
+	if res.TotalFlips == 0 || len(res.Targets) == 0 {
+		t.Error("templating stats empty on success")
+	}
+	if res.Phases.TotalNS() <= res.Phases.TemplateNS {
+		t.Error("massaging time missing")
+	}
+	checkSelfReference(t, s, res)
+}
+
+// checkSelfReference asserts the §5.3 outcome of a successful pte
+// chain: the corrupted PTE maps the page-table page it lives in, every
+// target's physical address decodes back to its flip, and the
+// exploitable share of templated flips is plausible.
+func checkSelfReference(t *testing.T, s *hammer.Session, res chain.Result) {
+	t.Helper()
+	if res.Value>>12 != res.Frame {
+		t.Errorf("corrupt PTE frame %#x != page-table frame %#x", res.Value>>12, res.Frame)
+	}
+	if res.Addr/4096 != res.Frame {
+		t.Errorf("victim PTE %#x not inside the page-table frame %#x", res.Addr, res.Frame)
+	}
+	for _, tg := range res.Targets {
+		if s.Map.Bank(tg.Flip.PhysAddr) != tg.Flip.Bank || s.Map.Row(tg.Flip.PhysAddr) != tg.Flip.Row {
+			t.Errorf("target physical address %#x does not decode back to bank %d row %d",
+				tg.Flip.PhysAddr, tg.Flip.Bank, tg.Flip.Row)
+		}
+	}
+	// The PFN sub-range covers 8 of the 64 PTE bits; allow a broad band
+	// around that share.
+	if share := float64(len(res.Targets)) / float64(res.TotalFlips); share < 0.01 || share > 0.4 {
+		t.Errorf("exploitable share %.2f implausible", share)
 	}
 }
 
@@ -247,8 +386,8 @@ func TestPlanRunDeterminism(t *testing.T) {
 // pickyVictim classifies nothing.
 type pickyVictim struct{}
 
-func (pickyVictim) Name() string                                            { return "picky" }
-func (pickyVictim) Classify(*hammer.Session, []chain.Flip) []chain.Target   { return nil }
+func (pickyVictim) Name() string                                          { return "picky" }
+func (pickyVictim) Classify(*hammer.Session, []chain.Flip) []chain.Target { return nil }
 func (pickyVictim) Attempt(*hammer.Session, chain.Hammerer, chain.Target, float64) (chain.Attempt, error) {
 	return chain.Attempt{}, nil
 }

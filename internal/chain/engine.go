@@ -74,9 +74,8 @@ type Engine struct {
 //
 // RNG-stream order is part of the contract: Allocate first, then one
 // Template call per region in ascending address order, then one
-// re-trigger per attempted target in templating order — the exact
-// operation order of the historical exploit.Run, which keeps the legacy
-// wrapper byte-identical.
+// re-trigger per attempted target in templating order — the operation
+// order the e2e golden pins.
 func (e Engine) Run(s *hammer.Session, opt RunOptions) (Result, error) {
 	opt = opt.withDefaults()
 	var res Result

@@ -39,10 +39,10 @@ const (
 type PTEVictim struct {
 	// BaseRow overrides the re-trigger placement for a flip; nil means
 	// the flip's recorded HammerBaseRow (the templating placement, which
-	// always re-covers the victim cell). The exploit compatibility
-	// wrapper installs the historical 16-row-rounding formula here,
-	// which mis-places the rare flip landing below its region's base row
-	// — preserved there because the e2e goldens pin that behavior.
+	// always re-covers the victim cell). The e2e experiment installs the
+	// historical 16-row-rounding formula here, which mis-places the rare
+	// flip landing below its region's base row — preserved there because
+	// the e2e golden pins that behavior.
 	BaseRow func(Flip) uint64
 }
 

@@ -265,13 +265,15 @@ func (e *Engine) SyncToRefresh() {
 
 // Run executes the program body `iterations` times under cfg and returns
 // the aggregate result. Line residency state is reset at the start of
-// the run (the attacker flushes all aggressors before hammering).
+// the run (the attacker flushes all aggressors before hammering). Run
+// interprets one op at a time; it is the reference RunPayload is
+// tested against, while hammer sessions execute compiled payloads.
 func (e *Engine) Run(p *Program, iterations int, cfg Config) Result {
 	if len(p.Lines) == 0 || len(p.Ops) == 0 {
 		return Result{StartTime: e.now, EndTime: e.now}
 	}
-	// Reuse the line-state scratch across runs: HammerPatternFor calls
-	// Run once per chunk, and the steady state must not allocate.
+	// Reuse the line-state scratch across runs: the differential tests
+	// call Run once per chunk, like the payload executor.
 	if cap(e.lines) >= len(p.Lines) {
 		e.lines = e.lines[:len(p.Lines)]
 	} else {

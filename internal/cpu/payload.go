@@ -7,9 +7,9 @@ import (
 	"rhohammer/internal/memctrl"
 )
 
-// Compiled payloads: the flat-schedule fast path of the hammering hot
-// loop (the LiteX payload-executor idiom). Compile lowers a memoized
-// Program under one execution Config into a Payload — a flat slot
+// Compiled payloads: the execution path of the hammering hot loop
+// (the LiteX payload-executor idiom). Compile lowers a Program under
+// one execution Config into a Payload — a flat slot
 // array with every per-op decision already taken: issue costs and
 // reorder windows multiplied out, NOP/obfuscation ROB-and-time deltas
 // folded into the next slot, flushes of the just-accessed line fused
@@ -35,10 +35,13 @@ import (
 //     the device's event call order (ACT timestamps may legitimately
 //     exceed the CPU clock, so order — not time — is the contract).
 //
-// Fallbacks stay on the interpreted path: the session only compiles
-// when no command trace is armed (the executor does not record per-
-// command traces); row-swap, pTRR, DDR5-RFM, obs tracing and the
-// simcheck shadow are handled inside dram.ActivateBatch per entry.
+// There is no fallback: every hammer run executes a payload. An armed
+// controller command trace receives the executor's PRE and ACT records
+// at the same decision points as the interpreted path (REFs are
+// recorded inside AdvanceRefresh); row-swap, pTRR, DDR5-RFM, obs
+// tracing and the simcheck shadow are handled inside
+// dram.ActivateBatch per entry. Run stays as the reference the
+// differential tests compare RunPayload against.
 
 // slotKind enumerates the compiled schedule's operations.
 type slotKind uint8
@@ -63,15 +66,15 @@ const (
 // preambles) that preceded this op, applied in program order before the
 // op itself.
 type slot struct {
-	pre1     float64 // first folded clock delta (+0.0 when none)
-	pre2     float64 // second folded clock delta (+0.0 when none)
-	hitCost  float64 // clock advance when served from cache
-	missCost float64 // clock advance when the access reaches DRAM
-	window   float64 // effective reorder window for this access kind
-	preUop   int64   // folded ROB delta
-	line     int32   // line index (slotAccess, slotFlush)
-	kind     slotKind
-	isLoad   bool
+	pre1       float64 // first folded clock delta (+0.0 when none)
+	pre2       float64 // second folded clock delta (+0.0 when none)
+	hitCost    float64 // clock advance when served from cache
+	missCost   float64 // clock advance when the access reaches DRAM
+	window     float64 // effective reorder window for this access kind
+	preUop     int64   // folded ROB delta
+	line       int32   // line index (slotAccess, slotFlush)
+	kind       slotKind
+	isLoad     bool
 	flushAfter bool // fused flush of the same line follows the access
 }
 
@@ -296,6 +299,7 @@ func (e *Engine) RunPayload(pl *Payload, iterations int) Result {
 	onceDecode := pl.distinctSlots && !auditing
 	tCL, tRCD, tRP, tRC, tBus, tCtrl := hot.T.TCL, hot.T.TRCD, hot.T.TRP, hot.T.TRC, hot.T.TBus, hot.T.TCtrl
 	nextREF := ctrl.NextRefresh()
+	tracing := ctrl.Trace.Armed()
 	buf := e.actBuf[:0]
 	rnd := e.Rand
 	lines := e.lines
@@ -384,6 +388,9 @@ func (e *Engine) RunPayload(pl *Payload, iterations int) Result {
 						if tMin := bk.LastACT + tRC; actAt < tMin {
 							actAt = tMin
 						}
+						if tracing {
+							ctrl.Trace.Record(memctrl.Cmd{Kind: memctrl.CmdACT, Bank: int(pline.pd.Bank), Row: uint64(row), At: actAt})
+						}
 						buf = append(buf, dram.ActEntry{Ref: &pline.act, At: actAt})
 						if len(buf) == actBufSize {
 							dev.ActivateBatch(buf)
@@ -400,6 +407,10 @@ func (e *Engine) RunPayload(pl *Payload, iterations int) Result {
 						actAt := preAt + tRP
 						if tMin := bk.LastACT + tRC; actAt < tMin {
 							actAt = tMin
+						}
+						if tracing {
+							ctrl.Trace.Record(memctrl.Cmd{Kind: memctrl.CmdPRE, Bank: int(pline.pd.Bank), At: preAt})
+							ctrl.Trace.Record(memctrl.Cmd{Kind: memctrl.CmdACT, Bank: int(pline.pd.Bank), Row: uint64(row), At: actAt})
 						}
 						buf = append(buf, dram.ActEntry{Ref: &pline.act, At: actAt})
 						if len(buf) == actBufSize {

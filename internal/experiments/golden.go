@@ -28,9 +28,9 @@ func GoldenConfig() Config { return Config{Seed: 42, Scale: 0.5} }
 // per-cell seed derivation (stats.SplitSeed over "spec/cellKey"). That
 // derivation changed every RNG stream once, intentionally; from here on
 // the hashes again pin simulation results bit-for-bit. The chain
-// refactor added e2e (pinning the legacy exploit wrapper's output
-// byte-for-byte across the decomposition) and chain (pinning the
-// allocator x hammerer x victim grid). The trace-replay PR added
+// refactor added e2e (pinning the buddy/rho/pte chain with the legacy
+// row-%16 base-row rule: the §5.3 end-to-end rows) and chain (pinning
+// the allocator x hammerer x victim grid). The trace-replay PR added
 // replay-roundtrip: live session traces decoded and replayed through
 // the differential oracle, pinning the trace schema, the codec and the
 // replay engine alongside the physics. table5 runs all four recovery

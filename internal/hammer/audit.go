@@ -27,19 +27,6 @@ func simcheckFromEnv() bool {
 	return v != "" && v != "0"
 }
 
-// NoPayloadEnv is the environment variable that disables the
-// compiled-payload fast path for every new session (A/B debugging: a
-// suspected executor bug can be bisected against the interpreted
-// engine without code changes). Set RHOHAMMER_NOPAYLOAD=1.
-const NoPayloadEnv = "RHOHAMMER_NOPAYLOAD"
-
-// noPayloadFromEnv reports whether the environment disables the
-// compiled-payload path.
-func noPayloadFromEnv() bool {
-	v := os.Getenv(NoPayloadEnv)
-	return v != "" && v != "0"
-}
-
 // EnableAudit attaches a reference-model auditor to the session's
 // device and turns on the controller's decode-cache cross-check. The
 // device must still be in its freshly-created (or Reset) state. The

@@ -11,6 +11,7 @@ package hammer
 
 import (
 	"fmt"
+	"slices"
 
 	"rhohammer/internal/arch"
 	"rhohammer/internal/cpu"
@@ -176,26 +177,11 @@ type Session struct {
 	Eng  *cpu.Engine
 	Rand *stats.Rand
 
-	// progCache memoizes lowered programs: repeated HammerPattern calls
-	// with the same (pattern, placement, strategy) — the templating and
-	// benchmarking steady state — reuse the built cpu.Program instead of
-	// re-rendering and re-lowering it. Keyed by pattern pointer;
-	// patterns are immutable once built (the fuzzer and mutator always
-	// construct fresh ones).
-	progCache map[progKey]*cpu.Program
-
-	// payloadCache memoizes compiled payloads (cpu.Compile) one level
-	// below progCache: the same program under the same execution config
-	// re-runs its flat schedule without re-lowering. Payloads bind
-	// preresolved addresses, so the cache shares progCache's keying plus
-	// the cpu.Config the compilation baked in.
-	payloadCache map[payloadKey]*cpu.Payload
-
-	// DisablePayload forces every run through the interpreted
-	// cpu.Engine.Run path. The differential tests set it to compare the
-	// two paths bit-for-bit; the RHOHAMMER_NOPAYLOAD environment
-	// variable sets it at session creation for A/B debugging.
-	DisablePayload bool
+	// memo is the last compiled payload with the inputs it was compiled
+	// from: repeated calls on the same pattern and placement — the
+	// templating and benchmarking steady state — re-run it without
+	// lowering or compiling again.
+	memo payloadMemo
 
 	// auditor is non-nil in simcheck mode; see EnableAudit.
 	auditor *refmodel.Auditor
@@ -205,38 +191,39 @@ type Session struct {
 	// plain fields on cold paths (never touched per access).
 	trace            *obs.Trace
 	patternsHammered uint64
-	progBuilds       uint64
-	progHits         uint64
-	payloadBuilds    uint64
+	payloadCompiles  uint64
 	payloadHits      uint64
 }
 
-// progKey identifies one lowered program: the pattern plus every config
-// field the lowering depends on, and the placement.
-type progKey struct {
-	pat     *pattern.Pattern
-	instr   Instr
-	barrier Barrier
-	nops    int
-	banks   int
+// payloadMemo is one compiled payload and the inputs it was compiled
+// from. The pattern's slot count and tuples are copied, not referenced,
+// so a pattern edited in place after a call compiles afresh.
+type payloadMemo struct {
+	pl      *cpu.Payload
+	perIter int // hammer accesses per pattern iteration
+	slots   int
+	tuples  []pattern.Tuple
+	cfg     Config // normalized, SyncRefresh cleared
 	bank    int
 	baseRow uint64
 }
 
-// payloadKey identifies one compiled payload: the lowered program's
-// identity plus the execution config the compilation baked in.
-type payloadKey struct {
-	pk    progKey
-	style cpu.Style
-	obf   bool
+// matches reports whether the memo was compiled from these inputs. The
+// pattern ID only names a pattern, so it does not take part.
+func (m *payloadMemo) matches(pat *pattern.Pattern, cfg Config, bank int, baseRow uint64) bool {
+	if m.pl == nil || m.cfg != cfg || m.bank != bank || m.baseRow != baseRow ||
+		m.slots != pat.Slots || len(m.tuples) != len(pat.Tuples) {
+		return false
+	}
+	for i := range m.tuples {
+		a, b := &m.tuples[i], &pat.Tuples[i]
+		if a.Freq != b.Freq || a.Phase != b.Phase || a.Amplitude != b.Amplitude ||
+			!slices.Equal(a.Offsets, b.Offsets) {
+			return false
+		}
+	}
+	return true
 }
-
-// progCacheLimit bounds the memoized programs per session; long fuzzing
-// campaigns would otherwise accumulate one entry per (pattern, location).
-// The cache is cleared wholesale when full — deterministic, and the
-// steady-state workloads that matter reuse a handful of entries.
-// payloadCache uses the same bound and policy.
-const progCacheLimit = 256
 
 // deviceSeedSalt decorrelates the device's vulnerability map from the
 // engine's reordering stream while keeping both a pure function of the
@@ -268,13 +255,8 @@ func NewSession(a *arch.Arch, d *arch.DIMM, seed int64) (*Session, error) {
 	ctrl := memctrl.New(a, m, dev)
 	s := &Session{
 		Arch: a, DIMM: d, Map: m, Dev: dev, Ctrl: ctrl,
-		Eng:          cpu.NewEngine(a, ctrl, r),
-		Rand:         r,
-		progCache:    make(map[progKey]*cpu.Program),
-		payloadCache: make(map[payloadKey]*cpu.Payload),
-	}
-	if noPayloadFromEnv() {
-		s.DisablePayload = true
+		Eng:  cpu.NewEngine(a, ctrl, r),
+		Rand: r,
 	}
 	if simcheckFromEnv() {
 		s.EnableAudit()
@@ -285,76 +267,64 @@ func NewSession(a *arch.Arch, d *arch.DIMM, seed int64) (*Session, error) {
 	return s, nil
 }
 
-// program returns the lowered program for (pat, cfg, bank, baseRow),
-// building and memoizing it on first use.
-func (s *Session) program(pat *pattern.Pattern, cfg Config, bank int, baseRow uint64) (*cpu.Program, error) {
-	key := progKey{
-		pat: pat, instr: cfg.Instr, barrier: cfg.Barrier,
-		nops: cfg.Nops, banks: cfg.Banks, bank: bank, baseRow: baseRow,
+// check is the validation prologue of every hammer call; it normalizes
+// cfg in place.
+func (s *Session) check(pat *pattern.Pattern, cfg *Config, baseRow uint64) error {
+	if err := pat.Validate(); err != nil {
+		return err
 	}
-	if prog, ok := s.progCache[key]; ok {
-		s.progHits++
-		if obs.Enabled() {
-			obs.HammerProgHits.Inc()
-		}
-		return prog, nil
+	if err := cfg.validate(s.Map.Banks()); err != nil {
+		return err
 	}
-	prog, err := s.build(pat, cfg, bank, baseRow)
-	if err != nil {
-		return nil, err
+	maxOff := uint64(pat.MaxOffset())
+	if baseRow+maxOff+2 >= s.Map.Rows() {
+		return fmt.Errorf("hammer: base row %d + offset %d exceeds %d rows", baseRow, maxOff, s.Map.Rows())
 	}
-	s.progBuilds++
-	if obs.Enabled() {
-		obs.HammerProgBuilds.Inc()
-	}
-	if len(s.progCache) >= progCacheLimit {
-		clear(s.progCache)
-	}
-	s.progCache[key] = prog
-	return prog, nil
+	return nil
 }
 
-// usePayload reports whether runs may take the compiled-payload fast
-// path. The executor does not record per-command traces, so an armed
-// controller trace forces the interpreted engine; everything else
-// (simcheck shadow, obs tracing, every mitigation) is handled on the
-// compiled path.
-func (s *Session) usePayload() bool {
-	return !s.DisablePayload && !s.Ctrl.Trace.Armed()
-}
-
-// payload returns the compiled payload for (pat, cfg, bank, baseRow),
-// compiling and memoizing it on first use. prog must be the program the
-// same key resolves to.
-func (s *Session) payload(prog *cpu.Program, pat *pattern.Pattern, cfg Config, bank int, baseRow uint64) (*cpu.Payload, error) {
-	key := payloadKey{
-		pk: progKey{
-			pat: pat, instr: cfg.Instr, barrier: cfg.Barrier,
-			nops: cfg.Nops, banks: cfg.Banks, bank: bank, baseRow: baseRow,
-		},
-		style: cfg.Style, obf: cfg.Obfuscate,
+// payload validates a hammer call and returns its compiled payload with
+// the hammer accesses per pattern iteration. It reuses the memo when
+// the pattern contents, the config (SyncRefresh aside: it moves the
+// start, not the schedule), the bank and the base row all match;
+// otherwise it lowers and compiles afresh and memoizes the result.
+func (s *Session) payload(pat *pattern.Pattern, cfg *Config, bank int, baseRow uint64) (*cpu.Payload, int, error) {
+	if err := s.check(pat, cfg, baseRow); err != nil {
+		return nil, 0, err
 	}
-	if pl, ok := s.payloadCache[key]; ok {
+	key := *cfg
+	key.SyncRefresh = false
+	if s.memo.matches(pat, key, bank, baseRow) {
 		s.payloadHits++
 		if obs.Enabled() {
 			obs.HammerPayloadHits.Inc()
+			obs.HammerProgHits.Inc()
 		}
-		return pl, nil
+		return s.memo.pl, s.memo.perIter, nil
+	}
+	prog, err := s.build(pat, *cfg, bank, baseRow)
+	if err != nil {
+		return nil, 0, err
 	}
 	pl, err := s.Eng.Compile(prog, cpu.Config{Style: cfg.Style, Obfuscate: cfg.Obfuscate})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	s.payloadBuilds++
+	s.payloadCompiles++
 	if obs.Enabled() {
 		obs.HammerPayloadCompiles.Inc()
-		obs.HammerPayloadMiss.Inc()
+		obs.HammerProgBuilds.Inc()
 	}
-	if len(s.payloadCache) >= progCacheLimit {
-		clear(s.payloadCache)
+	tuples := make([]pattern.Tuple, len(pat.Tuples))
+	for i, t := range pat.Tuples {
+		t.Offsets = slices.Clone(t.Offsets)
+		tuples[i] = t
 	}
-	s.payloadCache[key] = pl
-	return pl, nil
+	s.memo = payloadMemo{
+		pl: pl, perIter: prog.Accesses(), slots: pat.Slots, tuples: tuples,
+		cfg: key, bank: bank, baseRow: baseRow,
+	}
+	return pl, s.memo.perIter, nil
 }
 
 // EnablePTRR turns on the platform pTRR mitigation (§6).
@@ -377,53 +347,31 @@ func (r Result) ActivationsPerSecond() float64 {
 	return float64(r.ACTs) / (r.TimeNS * 1e-9)
 }
 
+// add accumulates one step's cpu result; the first step fixes the start
+// time.
+func (r *Result) add(res cpu.Result, first bool) {
+	r.TimeNS += res.TimeNS
+	r.Accesses += res.Accesses
+	r.Hits += res.Hits
+	r.Misses += res.Misses
+	r.ACTs += res.ACTs
+	if first {
+		r.StartTime = res.StartTime
+	}
+	r.EndTime = res.EndTime
+}
+
 // HammerPattern executes pat for approximately `activations` hammer
 // accesses at the given base row and bank under cfg, and returns timing,
 // ordering and flip results. For multi-bank configs the pattern is
 // interleaved across cfg.Banks banks starting at `bank`.
 func (s *Session) HammerPattern(pat *pattern.Pattern, cfg Config, bank int, baseRow uint64, activations int) (Result, error) {
-	if err := pat.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := cfg.validate(s.Map.Banks()); err != nil {
-		return Result{}, err
-	}
-	maxOff := uint64(pat.MaxOffset())
-	if baseRow+maxOff+2 >= s.Map.Rows() {
-		return Result{}, fmt.Errorf("hammer: base row %d + offset %d exceeds %d rows", baseRow, maxOff, s.Map.Rows())
-	}
-	prog, err := s.program(pat, cfg, bank, baseRow)
+	pl, perIter, err := s.payload(pat, &cfg, bank, baseRow)
 	if err != nil {
 		return Result{}, err
 	}
-	perIter := prog.Accesses()
-	if perIter == 0 {
-		return Result{}, fmt.Errorf("hammer: pattern %d rendered to zero accesses", pat.ID)
-	}
-	iters := activations / perIter
-	if iters < 1 {
-		iters = 1
-	}
-	flipsBefore := len(s.Dev.Flips())
-	devBefore, ctrlBefore, pbBefore := s.Dev.Counters(), s.Ctrl.Stats(), s.Eng.PayloadBatches()
-	if cfg.SyncRefresh {
-		s.Eng.SyncToRefresh()
-	}
-	var res cpu.Result
-	if s.usePayload() {
-		pl, err := s.payload(prog, pat, cfg, bank, baseRow)
-		if err != nil {
-			return Result{}, err
-		}
-		res = s.Eng.RunPayload(pl, iters)
-	} else {
-		res = s.Eng.Run(prog, iters, cpu.Config{Style: cfg.Style, Obfuscate: cfg.Obfuscate})
-	}
-	flips := s.Dev.Flips()[flipsBefore:]
-	out := Result{Result: res}
-	out.Flips = append(out.Flips, flips...)
-	s.noteHammer(devBefore, ctrlBefore, pbBefore, &out)
-	return out, nil
+	step := func(iters int) cpu.Result { return s.Eng.RunPayload(pl, iters) }
+	return s.run(cfg, perIter, max(activations/perIter, 1), 0, step), nil
 }
 
 // HammerPatternFor hammers like HammerPattern but with a simulated-time
@@ -433,67 +381,44 @@ func (s *Session) HammerPattern(pat *pattern.Pattern, cfg Config, bank int, base
 // hammer attempts, exactly as in the paper's wall-clock-bounded
 // campaigns — and guarantee every run spans multiple refresh windows.
 func (s *Session) HammerPatternFor(pat *pattern.Pattern, cfg Config, bank int, baseRow uint64, durationNS float64) (Result, error) {
-	if err := pat.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := cfg.validate(s.Map.Banks()); err != nil {
-		return Result{}, err
-	}
-	maxOff := uint64(pat.MaxOffset())
-	if baseRow+maxOff+2 >= s.Map.Rows() {
-		return Result{}, fmt.Errorf("hammer: base row %d + offset %d exceeds %d rows", baseRow, maxOff, s.Map.Rows())
-	}
-	prog, err := s.program(pat, cfg, bank, baseRow)
+	pl, perIter, err := s.payload(pat, &cfg, bank, baseRow)
 	if err != nil {
 		return Result{}, err
 	}
-	perIter := prog.Accesses()
-	if perIter == 0 {
-		return Result{}, fmt.Errorf("hammer: pattern %d rendered to zero accesses", pat.ID)
-	}
+	step := func(iters int) cpu.Result { return s.Eng.RunPayload(pl, iters) }
+	return s.run(cfg, perIter, 0, durationNS, step), nil
+}
+
+// run is the execution loop behind every hammer call: step executes a
+// number of pattern iterations (HammerPattern and HammerPatternFor pass
+// the compiled payload's executor). With iters > 0, run takes exactly
+// one step of that many iterations. Otherwise it steps in chunks until
+// durationNS of simulated time has elapsed, re-estimating the remaining
+// iteration count from the measured pace; a few passes converge for any
+// configuration.
+func (s *Session) run(cfg Config, perIter, iters int, durationNS float64, step func(iters int) cpu.Result) Result {
 	flipsBefore := len(s.Dev.Flips())
 	devBefore, ctrlBefore, pbBefore := s.Dev.Counters(), s.Ctrl.Stats(), s.Eng.PayloadBatches()
-	var pl *cpu.Payload
-	if s.usePayload() {
-		if pl, err = s.payload(prog, pat, cfg, bank, baseRow); err != nil {
-			return Result{}, err
-		}
-	}
-	var out Result
-	// Run in chunks, re-estimating the remaining iteration count from
-	// the measured pace; a few passes converge for any configuration.
 	if cfg.SyncRefresh {
 		s.Eng.SyncToRefresh()
 	}
-	chunkIters := 200_000/perIter + 1
-	deadline := s.Eng.Now() + durationNS
-	first := true
-	for s.Eng.Now() < deadline {
-		remaining := deadline - s.Eng.Now()
-		if out.TimeNS > 0 && out.Accesses > 0 {
-			pace := out.TimeNS / float64(out.Accesses) // ns per access
-			chunkIters = int(remaining/pace)/perIter + 1
+	var out Result
+	if iters > 0 {
+		out.add(step(iters), true)
+	} else {
+		chunkIters := 200_000/perIter + 1
+		deadline := s.Eng.Now() + durationNS
+		for first := true; s.Eng.Now() < deadline; first = false {
+			if out.TimeNS > 0 && out.Accesses > 0 {
+				pace := out.TimeNS / float64(out.Accesses) // ns per access
+				chunkIters = int((deadline-s.Eng.Now())/pace)/perIter + 1
+			}
+			out.add(step(chunkIters), first)
 		}
-		var res cpu.Result
-		if pl != nil {
-			res = s.Eng.RunPayload(pl, chunkIters)
-		} else {
-			res = s.Eng.Run(prog, chunkIters, cpu.Config{Style: cfg.Style, Obfuscate: cfg.Obfuscate})
-		}
-		out.TimeNS += res.TimeNS
-		out.Accesses += res.Accesses
-		out.Hits += res.Hits
-		out.Misses += res.Misses
-		out.ACTs += res.ACTs
-		if first {
-			out.StartTime = res.StartTime
-			first = false
-		}
-		out.EndTime = res.EndTime
 	}
 	out.Flips = append(out.Flips, s.Dev.Flips()[flipsBefore:]...)
 	s.noteHammer(devBefore, ctrlBefore, pbBefore, &out)
-	return out, nil
+	return out
 }
 
 // build lowers a pattern into a cpu.Program under cfg.

@@ -7,27 +7,23 @@ import (
 )
 
 // Observability surface of the hammering engine. The session keeps
-// plain counters on its cold paths (per pattern, per program build —
+// plain counters on its cold paths (per pattern, per payload compile —
 // never per access) and flushes dram/memctrl deltas into the global
 // obs registry at every completed hammer call, gated on obs.Enabled().
 
 // SessionCounters is a cold snapshot of one session's activity: the
 // attached device and controller counters plus the engine-level ones.
 type SessionCounters struct {
-	Dram dram.Counters  `json:"dram"`
-	Ctrl memctrl.Stats  `json:"memctrl"`
+	Dram dram.Counters `json:"dram"`
+	Ctrl memctrl.Stats `json:"memctrl"`
 	// PatternsHammered counts completed HammerPattern/HammerPatternFor
 	// calls (pattern throughput = activations / simulated time, both
 	// also recorded here via Dram.ACTs and the cpu results).
 	PatternsHammered uint64 `json:"patterns_hammered"`
-	// ProgramBuilds / ProgramCacheHits expose the lowering memoization
-	// (a fuzzing campaign should build once per fresh pattern and hit
-	// for every repeat trial).
-	ProgramBuilds    uint64 `json:"program_builds"`
-	ProgramCacheHits uint64 `json:"program_cache_hits"`
-	// PayloadCompiles / PayloadCacheHits expose the compiled-payload
-	// memoization one level below the program cache, and PayloadBatches
-	// counts the activation batches the executor handed to the device.
+	// PayloadCompiles / PayloadCacheHits count the calls that compiled
+	// a fresh payload and the calls that re-ran the memoized one, and
+	// PayloadBatches counts the activation batches the executor handed
+	// to the device.
 	PayloadCompiles  uint64 `json:"payload_compiles"`
 	PayloadCacheHits uint64 `json:"payload_cache_hits"`
 	PayloadBatches   uint64 `json:"payload_batches"`
@@ -39,9 +35,7 @@ func (s *Session) Counters() SessionCounters {
 		Dram:             s.Dev.Counters(),
 		Ctrl:             s.Ctrl.Stats(),
 		PatternsHammered: s.patternsHammered,
-		ProgramBuilds:    s.progBuilds,
-		ProgramCacheHits: s.progHits,
-		PayloadCompiles:  s.payloadBuilds,
+		PayloadCompiles:  s.payloadCompiles,
 		PayloadCacheHits: s.payloadHits,
 		PayloadBatches:   s.Eng.PayloadBatches(),
 	}

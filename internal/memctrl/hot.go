@@ -119,6 +119,7 @@ func (c *Controller) AddAccessStats(accesses, rowHits, rowEmpty, conflicts, deco
 }
 
 // Armed reports whether the trace is recording. The payload executor
-// does not record per-command trace entries, so sessions fall back to
-// the interpreted engine while a command trace is armed.
+// reads it once per run and, while it holds, records its PRE and ACT
+// commands through Trace.Record, so an armed trace sees the same
+// command stream on the compiled path as on the interpreted one.
 func (t *Trace) Armed() bool { return t.on }

@@ -210,7 +210,7 @@ func (c *Controller) advanceRefresh(now float64) {
 	for c.nextREF <= now {
 		t := c.nextREF
 		c.Dev.Refresh(t)
-		c.Trace.record(Cmd{Kind: CmdREF, At: t})
+		c.Trace.Record(Cmd{Kind: CmdREF, At: t})
 		c.stats.Refreshes++
 		for b := range c.banks {
 			if c.banks[b].BusyUnit < t+c.T.TRFC {
@@ -249,7 +249,7 @@ func (c *Controller) Access(pa uint64, at float64) (complete float64, kind Acces
 		if tMin := b.LastACT + c.T.TRC; actAt < tMin {
 			actAt = tMin
 		}
-		c.Trace.record(Cmd{Kind: CmdACT, Bank: bank, Row: uint64(row), At: actAt})
+		c.Trace.Record(Cmd{Kind: CmdACT, Bank: bank, Row: uint64(row), At: actAt})
 		c.Dev.Activate(bank, uint64(row), actAt)
 		b.LastACT = actAt
 		b.OpenRow = row
@@ -263,8 +263,8 @@ func (c *Controller) Access(pa uint64, at float64) (complete float64, kind Acces
 		if tMin := b.LastACT + c.T.TRC; actAt < tMin {
 			actAt = tMin
 		}
-		c.Trace.record(Cmd{Kind: CmdPRE, Bank: bank, At: preAt})
-		c.Trace.record(Cmd{Kind: CmdACT, Bank: bank, Row: uint64(row), At: actAt})
+		c.Trace.Record(Cmd{Kind: CmdPRE, Bank: bank, At: preAt})
+		c.Trace.Record(Cmd{Kind: CmdACT, Bank: bank, Row: uint64(row), At: actAt})
 		c.Dev.Activate(bank, uint64(row), actAt)
 		b.LastACT = actAt
 		b.OpenRow = row

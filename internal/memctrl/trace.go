@@ -80,8 +80,12 @@ func (t *Trace) Reset() {
 // Commands returns the recorded stream in issue order.
 func (t *Trace) Commands() []Cmd { return t.cmds }
 
-// record appends a command if armed and capacity remains.
-func (t *Trace) record(c Cmd) {
+// Record appends a command if armed and capacity remains. The
+// controller records every command it issues itself; the compiled
+// payload executor in internal/cpu, which runs the bank state machine
+// inline, records its PRE and ACT commands here at the same decision
+// points (its REFs go through AdvanceRefresh).
+func (t *Trace) Record(c Cmd) {
 	if !t.on || len(t.cmds) >= t.limit {
 		return
 	}

@@ -38,7 +38,6 @@ import (
 
 	"rhohammer/internal/arch"
 	"rhohammer/internal/chain"
-	"rhohammer/internal/exploit"
 	"rhohammer/internal/hammer"
 	"rhohammer/internal/mapping"
 	"rhohammer/internal/mem"
@@ -80,10 +79,6 @@ type (
 	SweepOptions = sweep.Options
 	// SweepResult aggregates a sweep.
 	SweepResult = sweep.Result
-	// ExploitOptions configures the end-to-end PTE attack.
-	ExploitOptions = exploit.Options
-	// ExploitResult is the end-to-end outcome.
-	ExploitResult = exploit.Result
 	// ChainPlan names an allocator/hammerer/victim attack composition.
 	ChainPlan = chain.Plan
 	// ChainResult is a composed chain's end-to-end outcome.
@@ -121,8 +116,9 @@ var (
 	DoubleSided = pattern.DoubleSided
 	// KnownGood is a hand-crafted TRR-bypassing non-uniform pattern.
 	KnownGood = pattern.KnownGood
-	// CompactPattern fits within a 4 MiB contiguous region (exploit).
-	CompactPattern = exploit.CompactPattern
+	// CompactPattern fits within a 4 MiB contiguous region (buddy
+	// allocator).
+	CompactPattern = chain.CompactPattern
 	// HugePattern fits within a 2 MiB THP region (thp allocator).
 	HugePattern = chain.HugePattern
 )
@@ -278,18 +274,10 @@ func (a *Attack) SweepWith(p *Pattern, cfg HammerConfig, opt SweepOptions) (Swee
 	return sweep.Run(a.session, p, cfg, opt)
 }
 
-// Exploit runs the end-to-end PTE-corruption attack.
-func (a *Attack) Exploit(opt ExploitOptions) (ExploitResult, error) {
-	if opt.Config == (hammer.Config{}) {
-		opt.Config = a.RecommendedSingleBankConfig()
-	}
-	return exploit.Run(a.session, opt)
-}
-
-// Chain runs an arbitrary allocator/hammerer/victim composition as one
-// end-to-end attack. The zero plan is the paper's buddy/rho/pte triple
-// (equivalent to Exploit, reported through the chain's phase-structured
-// result).
+// Chain runs an allocator/hammerer/victim composition as one end-to-end
+// attack. The zero plan is the paper's §5.3 PTE-corruption attack: the
+// buddy/rho/pte triple with the platform-tuned single-bank
+// configuration.
 func (a *Attack) Chain(p ChainPlan) (ChainResult, error) {
 	return p.Run(a.session)
 }

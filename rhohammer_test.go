@@ -86,12 +86,12 @@ func TestFacadeEndToEndFlow(t *testing.T) {
 		t.Error("sweep found no flips")
 	}
 
-	ex, err := atk.Exploit(ExploitOptions{Regions: 8})
+	ex, err := atk.Chain(ChainPlan{Regions: 8})
 	if err != nil {
-		t.Fatalf("exploit: %v", err)
+		t.Fatalf("chain: %v", err)
 	}
 	if !ex.Success {
-		t.Error("exploit did not reach page-table R/W")
+		t.Error("chain did not reach page-table R/W")
 	}
 }
 
