@@ -25,7 +25,7 @@ race:
 
 # determinism proves the campaign contract under the race detector:
 # rendered experiment bytes are identical at 1 and 8 workers, the
-# stealing pool's synthetic grids match a serial reference at every
+# pool's synthetic grids match a serial reference at every
 # worker count, and the distributed fabric produces byte-identical
 # canonical envelopes for standalone, 1-, 2- and 4-worker-node
 # topologies (SCALING.md has the argument).

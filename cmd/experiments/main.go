@@ -69,7 +69,7 @@ func main() {
 		os.Setenv(hammer.SimcheckEnv, "1")
 	}
 	if *tracePath != "" {
-		// Same depth problem, same solution: arming the global collector
+		// Same depth problem, same solution: arming obs.Traces
 		// makes every session record into its own seed-keyed ring.
 		obs.EnableTracing(*traceCap)
 	}

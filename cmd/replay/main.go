@@ -9,7 +9,7 @@
 //	replay [-dimm ID] [-seed N] [-session KEY] [-max-events N]
 //	       [-envelope] [FILE]
 //
-// FILE is a JSONL trace — obs.Trace.WriteJSONL output, a collector
+// FILE is a JSONL trace — obs.Trace.WriteJSONL output, a capture
 // dump (cmd/experiments -trace, or GET /v1/jobs/{id}/trace from
 // serverd), or a file opening with a rhohammer_trace header line.
 // With no FILE the trace is read from stdin.
@@ -18,7 +18,7 @@
 // the trace has no header. For a trace recorded by a hammer session,
 // the device seed is hammer.DeviceSeed(sessionSeed), not the session
 // seed itself. -session selects one session of a multi-session
-// collector dump.
+// capture dump.
 //
 // The default output is the indented replay verdict. -envelope prints
 // the canonical campaign envelope instead — byte-identical to what
@@ -49,7 +49,7 @@ func main() {
 	log.SetPrefix("replay: ")
 	dimm := flag.String("dimm", "", "module profile ID the trace was recorded against (overrides the trace header)")
 	seed := flag.Int64("seed", 0, "dram device seed (overrides the trace header; hammer.DeviceSeed of the session seed)")
-	session := flag.String("session", "", "session key to select from a multi-session collector dump")
+	session := flag.String("session", "", "session key to select from a multi-session capture dump")
 	maxEvents := flag.Int("max-events", 0, "event bound (0 = default)")
 	envelope := flag.Bool("envelope", false, "print the canonical campaign envelope instead of the verdict")
 	flag.Parse()

@@ -15,7 +15,7 @@
 //
 // Jobs are admitted with POST /v1/jobs (a registered spec name or an
 // inline cell grid), run -shards at a time with their cells sharing
-// one work-stealing cell pool, with at most -queue jobs waiting
+// one FIFO cell pool, with at most -queue jobs waiting
 // (beyond that POST returns 429 with Retry-After), and are polled via
 // GET /v1/jobs/{id}. The
 // result endpoint serves the canonical envelope — byte-identical to

@@ -8,8 +8,9 @@
 // describes such a grid declaratively, a Registry names every Spec the
 // repository knows how to build, and a Pool — the package's one cell
 // scheduler — executes the cells of one or many Specs on a fixed set
-// of work-stealing workers. Run is the one-shot form: a private Pool
-// sized to the grid, closed when the campaign is done.
+// of workers that pop one FIFO queue of cells. Run is the one-shot
+// form: a private Pool sized to the grid, closed when the campaign is
+// done.
 //
 // Determinism is the package's core contract: each cell derives its own
 // RNG seed from the campaign seed and the cell's stable key

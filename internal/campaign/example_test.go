@@ -45,11 +45,10 @@ func Example() {
 	// 4 cells, attempts: 1
 }
 
-// ExamplePool shares one work-stealing worker set across several
-// campaigns: cells — not jobs — are the scheduling unit, so a small
-// grid never waits behind a large one, and the result is still
-// bit-identical to a one-worker run because each cell's seed derives
-// from its stable key.
+// ExamplePool shares one worker set across several campaigns: cells —
+// not jobs — are the scheduling unit, so a small grid never waits
+// behind a large one, and the result is still bit-identical to a
+// one-worker run because each cell's seed derives from its stable key.
 func ExamplePool() {
 	spec := campaign.Spec{
 		Name: "demo", Kind: campaign.KindAux, Seed: 7,

@@ -17,24 +17,20 @@ import (
 // ("one large job serializes behind its shard while the other shards
 // idle") disappears because scheduling happens at cell granularity.
 //
-// Each worker owns a deque. Submitting a run spreads its cells across
-// the deques round-robin; a worker pops work from the front of its own
-// deque and, when empty, steals the back half of the fullest deque
-// (steal-half keeps thieves and victims both busy without rebalancing
-// on every pop). Every cell is scheduled exactly once — moving between
-// deques never duplicates it.
+// The pool keeps one FIFO queue of cells: submitting a run appends its
+// cells in grid order, and an idle worker pops the front. Every cell is
+// scheduled exactly once.
 //
 // Results are bit-identical for every pool size: a cell's seed derives
 // from its stable key (Spec.CellSeed), results land at the cell's
 // index, and Gather runs once after the last cell — so which worker ran
-// a cell, or whether it was stolen, cannot change result bytes. A
-// panicking cell is recovered into its own error, OnCell observes each
-// cell as it finishes, and cancellation withdraws a run's queued cells.
+// a cell cannot change result bytes. A panicking cell is recovered into
+// its own error, OnCell observes each cell as it finishes, and
+// cancellation withdraws a run's queued cells.
 type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	deques [][]poolItem // one per worker; owner pops front, thieves take the back half
-	next   int          // round-robin submission cursor
+	queue  []poolItem // pending cells, oldest first
 	closed bool
 
 	workers int
@@ -80,14 +76,11 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{
-		deques:  make([][]poolItem, workers),
-		workers: workers,
-	}
+	p := &Pool{workers: workers}
 	p.cond = sync.NewCond(&p.mu)
+	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		p.wg.Add(1)
-		go p.worker(w)
+		go p.worker()
 	}
 	return p
 }
@@ -130,7 +123,7 @@ func (p *Pool) Run(s Spec, opts RunOpts) (*Outcome, error) {
 
 // RunContext is Run with cooperative cancellation: when ctx is
 // cancelled, this run's still-queued cells are withdrawn from the
-// deques (recording ctx's error as their stat, with Attempts 0), cells
+// queue (recording ctx's error as their stat, with Attempts 0), cells
 // already executing finish (Exec takes no context — cells are meant to
 // be fine-grained), and the call returns once nothing of the run
 // remains in flight. Other runs sharing the pool are unaffected, and
@@ -162,10 +155,8 @@ func (p *Pool) RunContext(ctx context.Context, s Spec, opts RunOpts) (*Outcome, 
 		close(run.done)
 	}
 	for i := 0; i < n; i++ {
-		w := (p.next + i) % p.workers
-		p.deques[w] = append(p.deques[w], poolItem{run: run, idx: i})
+		p.queue = append(p.queue, poolItem{run: run, idx: i})
 	}
-	p.next = (p.next + n) % p.workers
 	p.mu.Unlock()
 	p.cond.Broadcast()
 
@@ -191,26 +182,25 @@ func (p *Pool) RunContext(ctx context.Context, s Spec, opts RunOpts) (*Outcome, 
 	return out, err
 }
 
-// withdraw removes a cancelled run's still-queued cells from every
-// deque, recording the context error as their stat. Cells a worker has
+// withdraw removes a cancelled run's still-queued cells from the
+// queue, recording the context error as their stat. Cells a worker has
 // already popped are left to finish (the worker records them itself).
 func (p *Pool) withdraw(run *poolRun) {
 	err := run.ctx.Err()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for w := range p.deques {
-		kept := p.deques[w][:0]
-		for _, it := range p.deques[w] {
-			if it.run != run {
-				kept = append(kept, it)
-				continue
-			}
-			c := run.spec.Cells[it.idx]
-			run.stats[it.idx] = CellStat{Key: c.Key, Seed: run.spec.CellSeed(c.Key), Err: err.Error()}
-			p.finishItemLocked(run)
+	kept := p.queue[:0]
+	for _, it := range p.queue {
+		if it.run != run {
+			kept = append(kept, it)
+			continue
 		}
-		p.deques[w] = kept
+		c := run.spec.Cells[it.idx]
+		run.stats[it.idx] = CellStat{Key: c.Key, Seed: run.spec.CellSeed(c.Key), Err: err.Error()}
+		p.finishItemLocked(run)
 	}
+	clear(p.queue[len(kept):]) // as in worker: do not pin the withdrawn run
+	p.queue = kept
 }
 
 // finishItemLocked marks one cell of a run handled, closing done on the
@@ -222,57 +212,26 @@ func (p *Pool) finishItemLocked(run *poolRun) {
 	}
 }
 
-// worker is one pool goroutine: pop own deque, steal when empty, exit
-// when the pool is closed and no work remains anywhere.
-func (p *Pool) worker(id int) {
+// worker is one pool goroutine: pop the front of the queue, exit when
+// the pool is closed and the queue is empty.
+func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
 		p.mu.Lock()
-		for len(p.deques[id]) == 0 {
-			if p.stealLocked(id) {
-				break
-			}
+		for len(p.queue) == 0 {
 			if p.closed {
 				p.mu.Unlock()
 				return
 			}
 			p.cond.Wait()
 		}
-		item := p.deques[id][0]
-		p.deques[id] = p.deques[id][1:]
+		item := p.queue[0]
+		p.queue[0] = poolItem{} // the backing array outlives the pop; do not pin the run
+		p.queue = p.queue[1:]
 		p.mu.Unlock()
 
 		p.execute(item)
 	}
-}
-
-// stealLocked moves the back half (round up) of the fullest other deque
-// onto this worker's deque. Returns whether anything was stolen. Caller
-// holds p.mu.
-func (p *Pool) stealLocked(id int) bool {
-	victim, max := -1, 0
-	for w := range p.deques {
-		if w != id && len(p.deques[w]) > max {
-			victim, max = w, len(p.deques[w])
-		}
-	}
-	if victim < 0 {
-		return false
-	}
-	take := (max + 1) / 2
-	keep := max - take
-	p.deques[id] = append(p.deques[id], p.deques[victim][keep:]...)
-	p.deques[victim] = p.deques[victim][:keep]
-	if obs.Enabled() {
-		obs.CampaignSteals.Inc()
-		obs.CampaignStolenCells.Add(int64(take))
-	}
-	// The thief now holds more than one item; wake siblings so a chain
-	// of steals can fan freshly submitted work across the pool.
-	if take > 1 {
-		p.cond.Broadcast()
-	}
-	return true
 }
 
 // execute runs one popped cell: cancelled runs record the context error

@@ -12,8 +12,8 @@ import (
 )
 
 // TestPoolDeterminism is the Pool's core contract: the gathered result
-// equals the serial reference for every pool size, stolen or not. make
-// verify runs it under -race.
+// equals the serial reference for every pool size. make verify runs it
+// under -race.
 func TestPoolDeterminism(t *testing.T) {
 	spec := syntheticSpec(42, 64)
 	wantResults, want := serialReference(t, spec)
@@ -33,9 +33,9 @@ func TestPoolDeterminism(t *testing.T) {
 	}
 }
 
-// TestPoolRunsEveryCellExactlyOnce pins the central stealing invariant:
-// a cell moved between deques is still executed exactly once, under
-// heavy cross-run contention.
+// TestPoolRunsEveryCellExactlyOnce pins the queue's central invariant:
+// every cell is executed exactly once, under heavy cross-run
+// contention.
 func TestPoolRunsEveryCellExactlyOnce(t *testing.T) {
 	p := NewPool(8)
 	defer p.Close()
@@ -66,57 +66,6 @@ func TestPoolRunsEveryCellExactlyOnce(t *testing.T) {
 		if n != 1 {
 			t.Errorf("cell %d executed %d times, want exactly 1", i, n)
 		}
-	}
-}
-
-// TestPoolStealHalf pins the steal policy at the deque level: a thief
-// takes the back half (rounded up) of the fullest victim, the victim
-// keeps the front, and nothing is duplicated or dropped.
-func TestPoolStealHalf(t *testing.T) {
-	// A pool with no worker goroutines: manipulate deques directly.
-	p := &Pool{deques: make([][]poolItem, 3), workers: 3}
-	p.cond = sync.NewCond(&p.mu)
-	run := &poolRun{}
-	for i := 0; i < 7; i++ {
-		p.deques[1] = append(p.deques[1], poolItem{run: run, idx: i})
-	}
-	p.deques[2] = []poolItem{{run: run, idx: 100}}
-
-	p.mu.Lock()
-	stole := p.stealLocked(0)
-	p.mu.Unlock()
-	if !stole {
-		t.Fatal("steal with work available returned false")
-	}
-	// Victim must be deque 1 (fullest); thief takes ceil(7/2)=4 from the
-	// back, victim keeps the front 3.
-	if got := len(p.deques[0]); got != 4 {
-		t.Fatalf("thief holds %d items, want 4", got)
-	}
-	if got := len(p.deques[1]); got != 3 {
-		t.Fatalf("victim keeps %d items, want 3", got)
-	}
-	if len(p.deques[2]) != 1 {
-		t.Fatal("steal touched a non-victim deque")
-	}
-	for i, it := range p.deques[1] {
-		if it.idx != i {
-			t.Errorf("victim kept idx %d at position %d, want the front of its deque", it.idx, i)
-		}
-	}
-	for i, it := range p.deques[0] {
-		if it.idx != 3+i {
-			t.Errorf("thief got idx %d at position %d, want the back half in order", it.idx, i)
-		}
-	}
-
-	// No other work: stealing must report empty-handed.
-	p.deques[0], p.deques[1], p.deques[2] = nil, nil, nil
-	p.mu.Lock()
-	stole = p.stealLocked(0)
-	p.mu.Unlock()
-	if stole {
-		t.Error("steal with no work returned true")
 	}
 }
 
@@ -319,5 +268,31 @@ func TestPoolValidatesSpecs(t *testing.T) {
 	}
 	if len(out.Results) != 0 {
 		t.Errorf("%d results from empty grid", len(out.Results))
+	}
+}
+
+// BenchmarkPoolEmptyCells measures what the pool itself costs per cell
+// — validation, queueing, the per-cell seed, timing and stat, the
+// hand-off between goroutines and outcome assembly — with an Exec that
+// does no work. ns/cell is the figure to read.
+func BenchmarkPoolEmptyCells(b *testing.B) {
+	const cells = 256
+	spec := Spec{Name: "empty", Seed: 1, Exec: func(Cell, int64) (any, error) { return nil, nil }}
+	for i := 0; i < cells; i++ {
+		spec.Cells = append(spec.Cells, Cell{Key: fmt.Sprintf("c/%d", i)})
+	}
+	for _, workers := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			p := NewPool(workers)
+			defer p.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Run(spec, RunOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+		})
 	}
 }

@@ -201,14 +201,6 @@ type Device struct {
 	// when detached.
 	trace *obs.Trace
 
-	// OnTRR, if set, is invoked for every targeted refresh with the
-	// identified aggressor. Diagnostics and tests only.
-	OnTRR func(bank int, row uint64)
-
-	// OnRefresh, if set, is invoked at each REF with the bank-0 sampler
-	// snapshot (keys and counts). Diagnostics and tests only.
-	OnRefresh func(keys []uint64, counts []int)
-
 	// stateSlab is the bump allocator behind stateSlow: row states are
 	// carved from fixed-size chunks instead of allocated one by one.
 	// Mapping-recovery campaigns touch ~10⁵ distinct rows per run, and
@@ -341,6 +333,14 @@ func (d *Device) peek(bank int, row uint64) *rowState {
 // It deposits disturbance on the neighboring rows and records any cells
 // whose thresholds are crossed.
 func (d *Device) Activate(bank int, row uint64, now float64) {
+	d.activate(d.state(bank, row), bank, row, now)
+}
+
+// activate is the one per-ACT body with every observer and mitigation
+// hook in place; st is the state of (bank, row) before any row swap.
+// Activate resolves it per call, ActivateBatch takes it pinned from
+// PrepareAct.
+func (d *Device) activate(st *rowState, bank int, row uint64, now float64) {
 	if d.shadow != nil {
 		// Forwarded before any mutation: the shadow models the same
 		// substrate input (pre-row-swap logical address).
@@ -352,7 +352,6 @@ func (d *Device) Activate(bank int, row uint64, now float64) {
 		// the substrate's input stream.
 		d.trace.Emit(obs.Event{TimeNS: now, Layer: "dram", Kind: "act", Bank: bank, Row: row})
 	}
-	st := d.state(bank, row)
 	st.acts++
 	if d.rowSwap.enabled {
 		// The swap layer sits between the address and the physical
@@ -424,7 +423,7 @@ func (d *Device) rowEpoch(row uint64) uint64 {
 
 // disturb adds disturbance w to the victim row's (pre-resolved) state
 // and fires flips. The body is the steady-state fast path — same epoch,
-// gate not reached — kept small enough to inline into Activate; anything
+// gate not reached — kept small enough to inline into activate; anything
 // else goes to disturbSlow.
 func (d *Device) disturb(st *rowState, bank int, row uint64, w float64, now float64) {
 	if st.epochRef == d.refCount && st.disturbance+w < st.gate {
@@ -546,10 +545,6 @@ func (d *Device) Refresh(now float64) {
 		d.trrLog[bank] = log[:0]
 	}
 
-	if d.OnRefresh != nil {
-		d.OnRefresh(d.trr[0].keys, d.trr[0].counts)
-	}
-
 	// TRR: each bank's logic proactively refreshes the neighborhood of
 	// its sampler's top candidates, then clears for the next interval.
 	for bank := range d.trr {
@@ -579,9 +574,6 @@ func (d *Device) refreshNeighborhood(bank int, row uint64) {
 	}
 	if d.shadow != nil {
 		d.auditTRR = append(d.auditTRR, TRRTrigger{Bank: bank, Row: row})
-	}
-	if d.OnTRR != nil {
-		d.OnTRR(bank, row)
 	}
 	for dist := uint64(1); dist <= 2; dist++ {
 		if row >= dist {

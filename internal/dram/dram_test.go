@@ -271,19 +271,6 @@ func TestWeakCellCountDeterministic(t *testing.T) {
 	}
 }
 
-func TestOnTRRHook(t *testing.T) {
-	dev := NewDevice(vulnerableDIMM(), 3)
-	var hits int
-	dev.OnTRR = func(bank int, row uint64) { hits++ }
-	for i := 0; i < 50; i++ {
-		dev.Activate(0, 999, 0)
-	}
-	dev.Refresh(0)
-	if hits == 0 {
-		t.Error("OnTRR not invoked")
-	}
-}
-
 func TestRowEpochAdvances(t *testing.T) {
 	dev := NewDevice(arch.DIMMS1(), 1)
 	e0 := dev.rowEpoch(0)

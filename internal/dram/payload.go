@@ -1,7 +1,5 @@
 package dram
 
-import "rhohammer/internal/obs"
-
 // Batch-activation surface for the compiled-payload executor
 // (internal/cpu). The executor buffers the ACTs of a compiled schedule
 // and hands them to ActivateBatch in original issue order, flushing the
@@ -29,12 +27,11 @@ import "rhohammer/internal/obs"
 //     rows as zero).
 
 // ActRef is one payload line's preresolved activation target: the
-// pinned row state plus the identifiers every mitigation hook needs.
-// Valid for the device's lifetime — states are created once and mutated
-// in place, never replaced, even across Reset.
+// pinned row state plus its (bank, row) address. Valid for the device's
+// lifetime — states are created once and mutated in place, never
+// replaced, even across Reset.
 type ActRef struct {
 	st   *rowState
-	key  uint64 // rowKey(bank, row), for the pTRR table
 	row  uint64
 	bank int32
 }
@@ -47,7 +44,7 @@ func (d *Device) PrepareAct(bank int, row uint64) ActRef {
 	if !st.nbrOK {
 		d.fillNeighbors(bank, row, st)
 	}
-	return ActRef{st: st, key: rowKey(bank, row), row: row, bank: int32(bank)}
+	return ActRef{st: st, row: row, bank: int32(bank)}
 }
 
 // ActEntry is one buffered ACT: a preresolved target and its issue time.
@@ -57,23 +54,16 @@ type ActEntry struct {
 }
 
 // ActivateBatch applies a buffered run of ACTs in order. Semantically
-// equivalent to calling Activate(bank, row, at) for each entry; the
-// configuration checks are hoisted out of the loop and the hot
-// configuration (no shadow, no trace, no pTRR, no DDR5 RFM, no row
-// swap) runs a lean loop over the pinned states.
+// equivalent to calling Activate(bank, row, at) for each entry: any
+// hooked configuration (shadow, trace, pTRR, DDR5 RFM, row swap) runs
+// the per-ACT body activate on each entry's pinned state, and the
+// unhooked one runs a lean loop over the pinned states.
 func (d *Device) ActivateBatch(entries []ActEntry) {
-	if d.rowSwap.enabled {
-		// Row swap remaps addresses dynamically between ACTs, so the
-		// pinned pre-swap states cannot be used; take the full per-call
-		// path, which is bit-identical by construction.
+	if d.shadow != nil || d.trace != nil || d.PTRR || d.DIMM.DDR5 || d.rowSwap.enabled {
 		for i := range entries {
 			e := &entries[i]
-			d.Activate(int(e.Ref.bank), e.Ref.row, e.At)
+			d.activate(e.Ref.st, int(e.Ref.bank), e.Ref.row, e.At)
 		}
-		return
-	}
-	if d.shadow != nil || d.trace != nil || d.PTRR || d.DIMM.DDR5 {
-		d.activateBatchGeneral(entries)
 		return
 	}
 	// No REF can occur inside a batch, so the refresh epoch check of the
@@ -138,44 +128,4 @@ func (d *Device) ActivateBatch(entries []ActEntry) {
 	// No observer sees actCount between entries in this configuration,
 	// so the counter advances once per batch.
 	d.actCount += uint64(len(entries))
-}
-
-// activateBatchGeneral is the batch loop with every per-ACT observer
-// hook in place, mirroring Activate's statement order exactly (minus
-// the row-swap step, which forces the fallback above).
-func (d *Device) activateBatchGeneral(entries []ActEntry) {
-	for i := range entries {
-		e := &entries[i]
-		ref := e.Ref
-		bank := int(ref.bank)
-		row := ref.row
-		if d.shadow != nil {
-			d.shadow.Activate(bank, row, e.At)
-		}
-		d.actCount++
-		if d.trace != nil {
-			d.trace.Emit(obs.Event{TimeNS: e.At, Layer: "dram", Kind: "act", Bank: bank, Row: row})
-		}
-		st := ref.st
-		st.acts++
-		d.trrLog[bank] = append(d.trrLog[bank], uint32(row))
-		if d.PTRR {
-			d.ptrrCounts.add(ref.key)
-		}
-		if d.DIMM.DDR5 {
-			d.rfmObserve(bank, row)
-		}
-		if n := st.nbr[0]; n != nil {
-			d.disturb(n, bank, row-1, blastWeights[1], e.At)
-		}
-		if n := st.nbr[1]; n != nil {
-			d.disturb(n, bank, row+1, blastWeights[1], e.At)
-		}
-		if n := st.nbr[2]; n != nil {
-			d.disturb(n, bank, row-2, blastWeights[2], e.At)
-		}
-		if n := st.nbr[3]; n != nil {
-			d.disturb(n, bank, row+2, blastWeights[2], e.At)
-		}
-	}
 }

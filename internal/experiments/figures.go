@@ -349,7 +349,7 @@ func fig9Spec(cfg Config) campaign.Spec {
 	return campaign.Spec{
 		Cells: cells,
 		Exec: func(c campaign.Cell, seed int64) (any, error) {
-			rep, err := fuzzCell(c, seed)
+			rep, err := FuzzCell(c, seed)
 			if err != nil {
 				return nil, err
 			}

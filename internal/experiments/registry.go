@@ -138,9 +138,10 @@ func sweepCell(row func(c campaign.Cell, s *hammer.Session, res sweep.Result) an
 	}
 }
 
-// fuzzCell runs a fuzzing campaign over the cell's config and budget in
-// a fresh session.
-func fuzzCell(c campaign.Cell, seed int64) (hammer.FuzzReport, error) {
+// FuzzCell runs a fuzzing campaign over the cell's config and budget in
+// a fresh session: the cell body of table6, fig9 and the serve layer's
+// inline grids.
+func FuzzCell(c campaign.Cell, seed int64) (hammer.FuzzReport, error) {
 	s, err := hammer.NewSession(c.Arch, c.DIMM, seed)
 	if err != nil {
 		return hammer.FuzzReport{}, err

@@ -386,7 +386,7 @@ func table6Spec(cfg Config) campaign.Spec {
 	return campaign.Spec{
 		Cells: cells,
 		Exec: func(c campaign.Cell, seed int64) (any, error) {
-			rep, err := fuzzCell(c, seed)
+			rep, err := FuzzCell(c, seed)
 			if err != nil {
 				return nil, err
 			}

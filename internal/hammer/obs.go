@@ -43,7 +43,8 @@ func (s *Session) Counters() SessionCounters {
 
 // AttachTrace routes structured events from this session and its
 // device into the given ring. NewSession attaches one automatically
-// when global tracing (obs.EnableTracing) is armed.
+// when obs.SessionTrace hands out a ring for the session's seed (a
+// capture reserved it, or obs.EnableTracing armed obs.Traces).
 func (s *Session) AttachTrace(t *obs.Trace) {
 	s.trace = t
 	s.Dev.SetTrace(t)

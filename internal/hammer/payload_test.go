@@ -8,6 +8,7 @@ import (
 	"rhohammer/internal/arch"
 	"rhohammer/internal/cpu"
 	"rhohammer/internal/memctrl"
+	"rhohammer/internal/obs"
 	"rhohammer/internal/pattern"
 	"rhohammer/internal/stats"
 )
@@ -88,6 +89,9 @@ type payloadScenario struct {
 	durationNS  float64
 	// traced asserts the run recorded a command trace (setup armed it).
 	traced bool
+	// deviceTrace, when > 0, attaches an obs.Trace of that capacity to
+	// the device; the run must fit it without dropping an event.
+	deviceTrace int
 }
 
 // scenarioRun is what one engine observed for a scenario.
@@ -95,6 +99,7 @@ type scenarioRun struct {
 	fingerprint string
 	compiles    uint64        // payload compiles (0 on the reference engine)
 	commands    []memctrl.Cmd // the armed command trace, if any
+	events      []obs.Event   // the device's event trace, if attached
 }
 
 // runScenario executes the scenario on a fresh session, on the compiled
@@ -108,19 +113,29 @@ func runScenario(t *testing.T, sc payloadScenario, reference bool) scenarioRun {
 	if sc.setup != nil {
 		sc.setup(s)
 	}
+	var dev *obs.Trace
+	if sc.deviceTrace > 0 {
+		dev = obs.NewTrace(sc.deviceTrace)
+		s.Dev.SetTrace(dev)
+	}
 	res, err := hammerOn(s, reference, sc.pattern(), sc.cfg, sc.bank, sc.baseRow, sc.activations, sc.durationNS)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := dev.Dropped(); d > 0 {
+		t.Fatalf("device trace dropped %d of %d events", d, uint64(dev.Len())+d)
 	}
 	return scenarioRun{
 		fingerprint: resultFingerprint(s, res) + rngFingerprint(s),
 		compiles:    s.Counters().PayloadCompiles,
 		commands:    s.Ctrl.Trace.Commands(),
+		events:      dev.Events(),
 	}
 }
 
 // compareRuns fails the test when the compiled run diverged from the
-// reference run in any observable, the armed command trace included.
+// reference run in any observable, the armed command trace and the
+// device event trace included.
 func compareRuns(t *testing.T, compiled, reference scenarioRun) {
 	t.Helper()
 	if compiled.fingerprint != reference.fingerprint {
@@ -131,10 +146,23 @@ func compareRuns(t *testing.T, compiled, reference scenarioRun) {
 		t.Errorf("command traces differ: compiled recorded %d commands, interpreted %d (first difference at %d)",
 			len(compiled.commands), len(reference.commands), firstDiff(compiled.commands, reference.commands))
 	}
+	if !slices.Equal(compiled.events, reference.events) {
+		i := firstDiff(compiled.events, reference.events)
+		t.Errorf("device traces differ: compiled emitted %d events, interpreted %d (first difference at %d: %+v vs %+v)",
+			len(compiled.events), len(reference.events), i, at(compiled.events, i), at(reference.events, i))
+	}
 }
 
-// firstDiff returns the index of the first differing command.
-func firstDiff(a, b []memctrl.Cmd) int {
+// at returns events[i], or the zero Event past the end.
+func at(events []obs.Event, i int) obs.Event {
+	if i < len(events) {
+		return events[i]
+	}
+	return obs.Event{}
+}
+
+// firstDiff returns the index of the first differing element.
+func firstDiff[E comparable](a, b []E) int {
 	for i := range min(len(a), len(b)) {
 		if a[i] != b[i] {
 			return i
@@ -205,6 +233,18 @@ func payloadScenarios() []payloadScenario {
 		sc.setup = func(s *Session) { s.Ctrl.Trace.Start(1 << 20) }
 		sc.traced = true
 	})
+	// The device trace carries every ACT's issue time, which no other
+	// scenario observes unless a flip lands; row swap and pTRR put the
+	// hooked per-ACT path under it.
+	add("device-trace-rowswap-ptrr", func(sc *payloadScenario) {
+		sc.setup = func(s *Session) {
+			s.Dev.EnableRowSwap(5000)
+			s.EnablePTRR(true)
+		}
+		sc.durationNS = 0
+		sc.activations = 60000 // ~54k events
+		sc.deviceTrace = 1 << 16
+	})
 	return scs
 }
 
@@ -212,7 +252,8 @@ func payloadScenarios() []payloadScenario {
 // executor: for every scenario, a session running compiled payloads and
 // a session on the interpreted reference engine must agree on every
 // observable — results, flips, device and controller counters, the RNG
-// stream position and, when armed, the controller's command trace.
+// stream position and, when armed, the controller's command trace and
+// the device's event trace.
 func TestPayloadDifferential(t *testing.T) {
 	for _, sc := range payloadScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -226,6 +267,9 @@ func TestPayloadDifferential(t *testing.T) {
 			}
 			if sc.traced && len(compiled.commands) == 0 {
 				t.Error("armed trace recorded no commands")
+			}
+			if sc.deviceTrace > 0 && len(compiled.events) == 0 {
+				t.Error("device trace recorded no events")
 			}
 		})
 	}

@@ -233,10 +233,6 @@ var (
 	CampaignBusyNS   = Default.Counter("rhohammer_campaign_busy_ns_total")
 	CampaignWallNS   = Default.Counter("rhohammer_campaign_wall_ns_total")
 
-	// Work-stealing pool (campaign.Pool): steal events and cells moved.
-	CampaignSteals      = Default.Counter("rhohammer_campaign_steals_total")
-	CampaignStolenCells = Default.Counter("rhohammer_campaign_stolen_cells_total")
-
 	// Distributed fabric (serve coordinator): lease grants/renewals/
 	// completions and deadline-based reclaims of expired leases.
 	LeaseGrants      = Default.Counter("rhohammer_lease_grants_total")

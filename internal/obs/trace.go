@@ -118,27 +118,36 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Collector groups per-session traces for one process run. Sessions
-// register under a seed-derived key, so the dump order is a pure
-// function of the run's seeds — deterministic for every worker count
-// and schedule. Cell keys map to seeds through the run manifest.
-type Collector struct {
-	mu      sync.Mutex
-	enabled bool
-	capPer  int
-	traces  map[string]*Trace
-	order   []string
-	// captures routes SessionTrace calls for reserved seeds into
-	// per-scope Captures instead of the global pool, independently of
-	// the enabled flag. Multiple captures reserving the same seed
-	// round-robin, so concurrent identical jobs each record their own
-	// rings.
-	captures map[int64][]*Capture
+// Capture collects the session traces of one bounded scope under
+// seed-derived keys, so its dump order is a pure function of the seeds
+// — deterministic for every worker count and schedule (cell keys map to
+// seeds through the run manifest). Reserve routes future SessionTrace
+// calls for a seed into the capture and Release detaches it; the serve
+// layer keeps one capture per job.
+type Capture struct {
+	capPer int
+	// seeds are the reservations to undo on Release; traces holds the
+	// registered rings by key. Both are guarded by traceMu.
+	seeds  []int64
+	traces map[string]*Trace
 }
 
-// Traces is the process-global collector, armed by EnableTracing
-// (cmd/experiments -trace, RHOHAMMER_TRACE).
-var Traces = &Collector{}
+var (
+	// traceMu guards tracing, reserved and every Capture.
+	traceMu sync.Mutex
+	// tracing reports whether EnableTracing armed Traces.
+	tracing bool
+	// reserved routes SessionTrace calls for a seed to the captures that
+	// reserved it, independently of tracing. Several captures reserving
+	// one seed take turns, so concurrent identical jobs each record
+	// their own rings.
+	reserved = map[int64][]*Capture{}
+)
+
+// Traces is the process-wide capture: while armed by EnableTracing
+// (cmd/experiments -trace, RHOHAMMER_TRACE) it takes every session seed
+// no other capture reserved.
+var Traces = NewCapture(0)
 
 // TraceEnv is the environment variable the commands consult for a
 // default trace output path, mirroring hammer.SimcheckEnv: it reaches
@@ -146,48 +155,35 @@ var Traces = &Collector{}
 // flag through every constructor.
 const TraceEnv = "RHOHAMMER_TRACE"
 
-// EnableTracing arms the global collector: every hammer session created
-// afterwards records into its own bounded ring of the given capacity
-// (<= 0 means DefaultTraceCap).
+// EnableTracing arms Traces: every hammer session created afterwards
+// whose seed no capture reserved records into its own bounded ring of
+// the given capacity (<= 0 means DefaultTraceCap).
 func EnableTracing(capPerSession int) {
-	Traces.mu.Lock()
-	defer Traces.mu.Unlock()
-	Traces.enabled = true
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	tracing = true
 	Traces.capPer = capPerSession
-	if Traces.traces == nil {
-		Traces.traces = map[string]*Trace{}
-	}
 }
 
-// DisableTracing disarms the collector and drops collected traces.
+// DisableTracing disarms Traces and drops its rings.
 func DisableTracing() {
-	Traces.mu.Lock()
-	defer Traces.mu.Unlock()
-	Traces.enabled = false
-	Traces.traces = nil
-	Traces.order = nil
-}
-
-// TracingEnabled reports whether the global collector is armed.
-func TracingEnabled() bool {
-	Traces.mu.Lock()
-	defer Traces.mu.Unlock()
-	return Traces.enabled
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	tracing = false
+	clear(Traces.traces)
 }
 
 // SessionTrace returns a new ring registered under the session's seed,
-// or nil when tracing is disabled. Seeds are unique per campaign cell
-// (stats.SplitSeed over the spec name and cell key), so concurrent
-// cells never share a ring; identical seeds (e.g. repeated manual
-// sessions) get a #n suffix in registration order.
-//
-// A seed reserved by a Capture takes precedence over the global pool:
-// the ring registers in that capture (even when global tracing is
-// disabled) and never appears in the collector's own dump.
+// or nil when nothing takes the seed. A capture that reserved the seed
+// takes it first (whether or not tracing is armed), then the armed
+// Traces. Seeds are unique per campaign cell (stats.SplitSeed over the
+// spec name and cell key), so concurrent cells never share a ring;
+// identical seeds (e.g. repeated manual sessions) get a #n suffix in
+// registration order.
 func SessionTrace(seed int64) *Trace {
-	Traces.mu.Lock()
-	defer Traces.mu.Unlock()
-	if list := Traces.captures[seed]; len(list) > 0 {
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	if list := reserved[seed]; len(list) > 0 {
 		c := list[0]
 		if len(list) > 1 {
 			// Round-robin so concurrent jobs sharing a seed each fill
@@ -197,58 +193,98 @@ func SessionTrace(seed int64) *Trace {
 		}
 		return c.register(seed)
 	}
-	if !Traces.enabled {
+	if !tracing {
 		return nil
 	}
-	key := registerKey(Traces.traces, seed)
-	t := NewTrace(Traces.capPer)
-	Traces.traces[key] = t
-	Traces.order = append(Traces.order, key)
+	return Traces.register(seed)
+}
+
+// NewCapture returns an empty capture whose rings retain at most
+// capPerSession events each (<= 0 means DefaultTraceCap).
+func NewCapture(capPerSession int) *Capture {
+	return &Capture{capPer: capPerSession, traces: map[string]*Trace{}}
+}
+
+// Reserve routes SessionTrace(seed) calls into this capture until
+// Release. Reserving the same seed again is a no-op.
+func (c *Capture) Reserve(seed int64) {
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	for _, s := range c.seeds {
+		if s == seed {
+			return
+		}
+	}
+	reserved[seed] = append(reserved[seed], c)
+	c.seeds = append(c.seeds, seed)
+}
+
+// Release undoes every reservation. The captured rings stay readable;
+// sessions created afterwards fall back to Traces.
+func (c *Capture) Release() {
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	for _, seed := range c.seeds {
+		list := reserved[seed]
+		kept := list[:0]
+		for _, cc := range list {
+			if cc != c {
+				kept = append(kept, cc)
+			}
+		}
+		if len(kept) == 0 {
+			delete(reserved, seed)
+		} else {
+			reserved[seed] = kept
+		}
+	}
+	c.seeds = nil
+}
+
+// register creates a new ring in the capture under session-%016x,
+// with a #n suffix when that key is already taken. Caller holds
+// traceMu.
+func (c *Capture) register(seed int64) *Trace {
+	key := fmt.Sprintf("session-%016x", uint64(seed))
+	if _, dup := c.traces[key]; dup {
+		for i := 2; ; i++ {
+			k := fmt.Sprintf("%s#%d", key, i)
+			if _, dup := c.traces[k]; !dup {
+				key = k
+				break
+			}
+		}
+	}
+	t := NewTrace(c.capPer)
+	c.traces[key] = t
 	return t
 }
 
-// registerKey picks the session key for a seed in the given ring map:
-// session-%016x, with a #n suffix when the key is already taken.
-func registerKey(taken map[string]*Trace, seed int64) string {
-	key := fmt.Sprintf("session-%016x", uint64(seed))
-	if _, dup := taken[key]; !dup {
-		return key
-	}
-	for i := 2; ; i++ {
-		k := fmt.Sprintf("%s#%d", key, i)
-		if _, dup := taken[k]; !dup {
-			return k
-		}
-	}
+// Len reports how many session rings the capture holds.
+func (c *Capture) Len() int {
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	return len(c.traces)
 }
 
-// Sessions returns the registered trace keys in sorted order (the dump
-// order), with their rings.
-func (c *Collector) Sessions() (keys []string, traces []*Trace) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys = append(keys, c.order...)
+// WriteJSONL dumps the captured traces as JSONL: sessions in sorted key
+// order, events within a session in emission order, each line stamped
+// with a "session" field naming its ring. A ring that overflowed ends
+// with a "truncated" marker line, so downstream consumers — the replay
+// codec in particular — can refuse an incomplete command stream instead
+// of replaying it wrong.
+func (c *Capture) WriteJSONL(w io.Writer) error {
+	traceMu.Lock()
+	keys := make([]string, 0, len(c.traces))
+	for k := range c.traces {
+		keys = append(keys, k)
+	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		traces = append(traces, c.traces[k])
+	traces := make([]*Trace, len(keys))
+	for i, k := range keys {
+		traces[i] = c.traces[k]
 	}
-	return keys, traces
-}
-
-// WriteJSONL dumps every collected trace as JSONL, sessions in sorted
-// key order, events within a session in emission order. Each line
-// gains a "session" field identifying its ring.
-func (c *Collector) WriteJSONL(w io.Writer) error {
-	keys, traces := c.Sessions()
-	return writeSessionsJSONL(w, keys, traces)
-}
-
-// writeSessionsJSONL is the shared JSONL emission: one line per event
-// with the session key stamped in, plus a "truncated" marker line for
-// any ring that overflowed (so downstream consumers — the replay codec
-// in particular — can refuse an incomplete command stream instead of
-// replaying it wrong).
-func writeSessionsJSONL(w io.Writer, keys []string, traces []*Trace) error {
+	traceMu.Unlock()
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for i, key := range keys {
@@ -268,100 +304,4 @@ func writeSessionsJSONL(w io.Writer, keys []string, traces []*Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Capture collects the session traces of one bounded scope — the serve
-// layer uses one per job — without touching the global tracing switch.
-// Reserve routes future SessionTrace calls for a seed into this
-// capture; Release detaches it. Captures work whether or not global
-// tracing is enabled, and captured rings never leak into the global
-// collector's dump.
-type Capture struct {
-	capPer int
-	// seeds are the reservations to undo on Release; rings/order hold
-	// the registered traces keyed like the collector's. All fields are
-	// guarded by Traces.mu (captures are part of the collector's
-	// routing state, so one lock covers both).
-	seeds  []int64
-	traces map[string]*Trace
-	order  []string
-}
-
-// NewCapture returns an empty capture whose rings retain at most
-// capPerSession events each (<= 0 means DefaultTraceCap).
-func NewCapture(capPerSession int) *Capture {
-	return &Capture{capPer: capPerSession, traces: map[string]*Trace{}}
-}
-
-// Reserve routes SessionTrace(seed) calls into this capture until
-// Release. Reserving the same seed again is a no-op.
-func (c *Capture) Reserve(seed int64) {
-	Traces.mu.Lock()
-	defer Traces.mu.Unlock()
-	for _, s := range c.seeds {
-		if s == seed {
-			return
-		}
-	}
-	if Traces.captures == nil {
-		Traces.captures = map[int64][]*Capture{}
-	}
-	Traces.captures[seed] = append(Traces.captures[seed], c)
-	c.seeds = append(c.seeds, seed)
-}
-
-// Release undoes every reservation. The captured rings stay readable;
-// sessions created afterwards fall back to the global pool.
-func (c *Capture) Release() {
-	Traces.mu.Lock()
-	defer Traces.mu.Unlock()
-	for _, seed := range c.seeds {
-		list := Traces.captures[seed]
-		kept := list[:0]
-		for _, cc := range list {
-			if cc != c {
-				kept = append(kept, cc)
-			}
-		}
-		if len(kept) == 0 {
-			delete(Traces.captures, seed)
-		} else {
-			Traces.captures[seed] = kept
-		}
-	}
-	c.seeds = nil
-}
-
-// register creates and keys a new ring in the capture. Caller holds
-// Traces.mu.
-func (c *Capture) register(seed int64) *Trace {
-	key := registerKey(c.traces, seed)
-	t := NewTrace(c.capPer)
-	c.traces[key] = t
-	c.order = append(c.order, key)
-	return t
-}
-
-// Len reports how many session rings the capture holds.
-func (c *Capture) Len() int {
-	Traces.mu.Lock()
-	defer Traces.mu.Unlock()
-	return len(c.order)
-}
-
-// WriteJSONL dumps the captured traces in the collector's format:
-// sessions in sorted key order, events in emission order, truncated
-// markers for overflowed rings. Keys derive from seeds alone, so for a
-// campaign job the bytes are deterministic across worker counts and
-// schedules.
-func (c *Capture) WriteJSONL(w io.Writer) error {
-	Traces.mu.Lock()
-	keys := append([]string(nil), c.order...)
-	sort.Strings(keys)
-	traces := make([]*Trace, 0, len(keys))
-	for _, k := range keys {
-		traces = append(traces, c.traces[k])
-	}
-	Traces.mu.Unlock()
-	return writeSessionsJSONL(w, keys, traces)
 }

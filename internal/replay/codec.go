@@ -65,7 +65,7 @@ const (
 	ErrLineTooLong ErrorKind = "line-too-long"
 	// ErrTooManyEvents is a trace exceeding Options.MaxEvents.
 	ErrTooManyEvents ErrorKind = "too-many-events"
-	// ErrTruncated is a trace whose ring dropped events (the collector's
+	// ErrTruncated is a trace whose ring dropped events (the capture's
 	// "truncated" marker): an incomplete command stream cannot replay to
 	// the session's state, so it is refused rather than silently wrong.
 	ErrTruncated ErrorKind = "truncated"
@@ -74,7 +74,7 @@ const (
 	ErrDIMM ErrorKind = "dimm"
 	// ErrEmpty is a trace with no act/ref commands at all.
 	ErrEmpty ErrorKind = "empty"
-	// ErrMultiSession is a collector dump mixing several sessions
+	// ErrMultiSession is a capture dump mixing several sessions
 	// without Options.Session selecting one.
 	ErrMultiSession ErrorKind = "multi-session"
 )
@@ -107,8 +107,8 @@ type Options struct {
 	// this is hammer.DeviceSeed(sessionSeed), not the session seed
 	// itself. Nil falls back to the header, then to 0.
 	Seed *int64
-	// Session selects one session of a collector dump
-	// (obs.Collector.WriteJSONL stamps each line with a "session" key);
+	// Session selects one session of a capture dump
+	// (obs.Capture.WriteJSONL stamps each line with a "session" key);
 	// lines of other sessions are skipped. Without it, a dump mixing
 	// sessions is an ErrMultiSession.
 	Session string
@@ -182,7 +182,7 @@ func HeaderLine(dimmID string, seed int64) string {
 }
 
 // eventLine is the wire shape of one trace line: obs.Event plus the
-// collector's per-line session stamp. Decoding is strict — unknown
+// capture's per-line session stamp. Decoding is strict — unknown
 // fields are a syntax error, so schema drift is caught at the line it
 // happens on.
 type eventLine struct {

@@ -23,7 +23,7 @@ func TestNodeCountDeterminism(t *testing.T) {
 	reg := tinyRegistry()
 
 	// Standalone: the whole grid runs in-process (on the shared
-	// stealing pool — parallel is unset).
+	// pool — parallel is unset).
 	want := standaloneEnvelope(t, reg, body)
 
 	for _, nodes := range []int{1, 2, 4} {

@@ -8,6 +8,7 @@ import (
 	"rhohammer/internal/arch"
 	"rhohammer/internal/campaign"
 	"rhohammer/internal/cpu"
+	"rhohammer/internal/experiments"
 	"rhohammer/internal/hammer"
 )
 
@@ -134,23 +135,11 @@ func (in *InlineSpec) build(seed int64) (campaign.Spec, error) {
 		Kind:  campaign.KindAux,
 		Seed:  seed,
 		Cells: cells,
-		Exec:  fuzzExec,
+		Exec: func(c campaign.Cell, seed int64) (any, error) {
+			return experiments.FuzzCell(c, seed)
+		},
 	}
 	return spec, spec.Validate()
-}
-
-// fuzzExec is the inline grid's Exec: a fuzzing campaign in a fresh
-// session, exactly the shape of the registry's table6 cells.
-func fuzzExec(c campaign.Cell, seed int64) (any, error) {
-	s, err := hammer.NewSession(c.Arch, c.DIMM, seed)
-	if err != nil {
-		return nil, err
-	}
-	return s.Fuzz(c.Config, hammer.FuzzOptions{
-		Patterns:   c.Budget.Patterns,
-		Locations:  c.Budget.Locations,
-		DurationNS: c.Budget.DurationNS,
-	})
 }
 
 // writeManifestFile persists one job manifest under dir.

@@ -96,7 +96,7 @@ type Job struct {
 	result      []byte
 	resultTimed []byte
 	manifest    []byte
-	// trace holds the job's per-session obs trace dump (JSONL, collector
+	// trace holds the job's per-session obs trace dump (JSONL, capture
 	// format), captured while the job ran and served at
 	// GET /v1/jobs/{id}/trace. Empty for cached and replay jobs, which
 	// execute no hammer sessions.

@@ -13,13 +13,13 @@ import (
 // plus the replay parameters the trace's header may omit.
 type replayRequest struct {
 	// Trace is the JSONL trace text (obs.Trace.WriteJSONL output, a
-	// collector dump, or a headered file; see internal/replay).
+	// capture dump, or a headered file; see internal/replay).
 	Trace string `json:"trace"`
 	// DIMM / Seed override the trace header's module profile and device
 	// seed (required when the trace has no header).
 	DIMM string `json:"dimm,omitempty"`
 	Seed *int64 `json:"seed,omitempty"`
-	// Session selects one session of a multi-session collector dump —
+	// Session selects one session of a multi-session capture dump —
 	// e.g. one cell of a GET /v1/jobs/{id}/trace body.
 	Session string `json:"session,omitempty"`
 	// Parallel is accepted for symmetry with POST /v1/jobs; a replay is
@@ -71,7 +71,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves the per-job obs trace dump recorded while the job
-// ran: JSONL in the collector format (one session per campaign cell,
+// ran: JSONL in the capture format (one session per campaign cell,
 // keyed by the cell's derived seed), ready to feed back through
 // POST /v1/replay. The dump order is a pure function of the job's
 // seeds, so the bytes are deterministic across shard counts and

@@ -65,10 +65,10 @@ type Config struct {
 	// Registry names the specs POST /v1/jobs accepts. Required.
 	Registry *campaign.Registry
 	// Shards is the number of jobs executing concurrently. Their cells
-	// interleave on one shared work-stealing campaign.Pool of
-	// Shards×GOMAXPROCS workers, so a small grid never serializes behind
-	// a large one; a job that pins parallel runs on a private pool of
-	// that size instead. Default 2.
+	// interleave on one shared campaign.Pool of Shards×GOMAXPROCS
+	// workers, so a small grid never serializes behind a large one; a
+	// job that pins parallel runs on a private pool of that size
+	// instead. Default 2.
 	Shards int
 	// QueueDepth bounds the number of admitted-but-not-running jobs.
 	// Default 16.
@@ -166,8 +166,8 @@ type Server struct {
 	queue    chan *Job
 	cache    *resultCache // nil when caching is disabled
 
-	// pool is the shared work-stealing cell scheduler for jobs without
-	// an explicit parallel value.
+	// pool is the shared cell scheduler for jobs without an explicit
+	// parallel value.
 	pool *campaign.Pool
 
 	// store is the durable job store; nil without Config.StoreDir.
