@@ -12,9 +12,10 @@
 // Hot-path layout: a hammering campaign revisits the same ~dozen
 // aggressor rows tens of millions of times, so the per-activation path is
 // organized around a direct-mapped (bank,row)→state cache backed by the
-// lazy per-bank maps, and all per-REF bookkeeping (TRR sampling, pTRR
-// counting) is batched so refresh boundaries — not individual
-// activations — pay the aggregation costs.
+// lazy per-bank maps. TRR sampling costs O(1) per activation: each row
+// state carries an interval stamp and its slot in the bank's sampler, so
+// a repeat activation bumps a count by index and no table is scanned.
+// Refresh boundaries pay only the top-N selection and the pTRR sweep.
 package dram
 
 import (
@@ -93,9 +94,15 @@ type rowState struct {
 	// epochRef is the device refCount when epoch was last derived; the
 	// epoch is a pure function of (row, refCount), so while refCount is
 	// unchanged the derivation can be skipped entirely.
-	epochRef     uint64
-	acts         uint64 // activations of this row itself since Reset
-	materialized bool   // weak-cell population drawn
+	epochRef uint64
+	acts     uint64 // activations of this row itself since Reset
+	// trrStamp is the device TRR interval of the row's last activation,
+	// and trrSlot the bank sampler slot it took then (-1: the table was
+	// full, so the row goes untracked for the rest of that interval).
+	// See trrSampler.sample.
+	trrStamp     uint64
+	trrSlot      int32
+	materialized bool // weak-cell population drawn
 	// nbr caches the states of the four blast-radius neighbors
 	// (row-1, row+1, row-2, row+2; nil = off the edge of the bank),
 	// filled on the row's first activation. States are created once and
@@ -167,11 +174,12 @@ type Device struct {
 	// real DDR4 TRR logic operates independently per bank.
 	trr []trrSampler
 
-	// trrLog buffers the (post-swap) activated rows of each bank within
-	// the current refresh interval; Refresh replays it into the sampler
-	// in order, so per-activation cost is one append instead of a
-	// sampler scan and the REF boundary pays the aggregation.
-	trrLog [][]uint32
+	// trrInterval numbers the sampler intervals for the row stamps.
+	// Refresh and Reset both clear every sampler and advance it; it
+	// starts at 1 (a fresh row state's stamp is 0) and is never zeroed,
+	// so no stamp outlives the table contents it indexes. refCount
+	// cannot serve, because Reset zeroes it.
+	trrInterval uint64
 
 	// ptrrCounts tracks per-REF activation counts for the pTRR model in
 	// a flat open-addressing table cleared at every REF.
@@ -241,7 +249,7 @@ func NewDevice(d *arch.DIMM, seed int64) *Device {
 	for i := range dev.trr {
 		dev.trr[i] = newTRRSampler(d.TRRSamplerSize)
 	}
-	dev.trrLog = make([][]uint32, dev.banks)
+	dev.trrInterval = 1
 	dev.ptrrCounts.init()
 	dev.initRFM()
 	return dev
@@ -361,7 +369,7 @@ func (d *Device) activate(st *rowState, bank int, row uint64, now float64) {
 		row = d.swapTarget(bank, row)
 		st = d.state(bank, row)
 	}
-	d.trrLog[bank] = append(d.trrLog[bank], uint32(row))
+	d.trr[bank].sample(st, row, d.trrInterval)
 	if d.PTRR {
 		d.ptrrCounts.add(rowKey(bank, row))
 	}
@@ -526,23 +534,9 @@ func (d *Device) Refresh(now float64) {
 	// Regular refresh of the rotating row slice is applied lazily via
 	// rowEpoch; only the counter advances here.
 	d.refCount++
+	d.trrInterval++
 	if d.trace != nil {
 		d.trace.Emit(obs.Event{TimeNS: now, Layer: "dram", Kind: "ref"})
-	}
-
-	// Replay the interval's buffered activations into the per-bank
-	// samplers, in original order — bit-identical to sampling at
-	// activation time, but the scan cost is paid once per REF.
-	for bank := range d.trrLog {
-		log := d.trrLog[bank]
-		if len(log) == 0 {
-			continue
-		}
-		s := &d.trr[bank]
-		for _, row := range log {
-			s.observe(uint64(row))
-		}
-		d.trrLog[bank] = log[:0]
 	}
 
 	// TRR: each bank's logic proactively refreshes the neighborhood of
@@ -649,9 +643,7 @@ func (d *Device) Reset() {
 	for i := range d.trr {
 		d.trr[i].clear()
 	}
-	for i := range d.trrLog {
-		d.trrLog[i] = d.trrLog[i][:0]
-	}
+	d.trrInterval++
 	d.ptrrCounts.clear()
 	d.refCount = 0
 	d.actCount = 0

@@ -94,7 +94,11 @@ func sameKeys(a, b []uint64) bool {
 
 // FuzzTRRSampler drives trrSampler and naiveSampler through the same
 // op stream — observe / top / popTop / clear — and requires identical
-// selections at every step.
+// selections at every step. A second pair checks the stamped entry
+// point the device uses: sample, keyed by per-row states, against a
+// naive mirror that observes the same keys. That pair sees every op but
+// popTop (RFM only, through observe), and each clear starts a new
+// interval, as a REF does.
 func FuzzTRRSampler(f *testing.F) {
 	f.Add([]byte{0x01, 0x01, 0x11, 0x21, 0x02, 0x01, 0x03})
 	f.Add([]byte{0x41, 0x41, 0x51, 0x51, 0x51, 0x12, 0x41, 0x22})
@@ -106,6 +110,10 @@ func FuzzTRRSampler(f *testing.F) {
 		capacity := 1 + int(data[0]%12)
 		fast := newTRRSampler(capacity)
 		ref := naiveSampler{capacity: capacity}
+		stamped := newTRRSampler(capacity)
+		stampedRef := naiveSampler{capacity: capacity}
+		var rows [16]rowState
+		iv := uint64(1)
 		for i := 1; i < len(data); i++ {
 			b := data[i]
 			switch b & 3 {
@@ -117,10 +125,15 @@ func FuzzTRRSampler(f *testing.F) {
 				if !sameKeys(got, want) {
 					t.Fatalf("op %d: top(%d) = %v, naive = %v", i, n, got, want)
 				}
+				if got, want := stamped.top(n), stampedRef.top(n); !sameKeys(got, want) {
+					t.Fatalf("op %d: stamped top(%d) = %v, naive = %v", i, n, got, want)
+				}
 			case 1:
 				key := uint64(b >> 2 & 15)
 				fast.observe(key)
 				ref.observe(key)
+				stamped.sample(&rows[key], key, iv)
+				stampedRef.observe(key)
 			case 2:
 				n := int(b>>2) % 6
 				got := append([]uint64(nil), fast.popTop(n)...)
@@ -134,10 +147,16 @@ func FuzzTRRSampler(f *testing.F) {
 			case 3:
 				fast.clear()
 				ref.clear()
+				stamped.clear()
+				stampedRef.clear()
+				iv++
 			}
 		}
 		if got, want := fast.top(16), ref.top(16); !sameKeys(got, want) {
 			t.Fatalf("final top(16) = %v, naive = %v", got, want)
+		}
+		if got, want := stamped.top(16), stampedRef.top(16); !sameKeys(got, want) {
+			t.Fatalf("final stamped top(16) = %v, naive = %v", got, want)
 		}
 	})
 }

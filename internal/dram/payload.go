@@ -12,8 +12,8 @@ package dram
 // pinning and the per-call overhead are hoisted to compile time via
 // PrepareAct, and the remaining per-ACT work runs in a tight loop over
 // a flat entry slice instead of being interleaved with CPU-model
-// bookkeeping. Per-bank aggregation stays exactly where it already
-// was: the trrLog append per ACT, replayed once per REF.
+// bookkeeping. TRR sampling happens in that loop, as in Activate: a
+// stamp check on the pinned state and, for a repeat, one count bump.
 //
 // Rules the executor must follow:
 //
@@ -67,32 +67,20 @@ func (d *Device) ActivateBatch(entries []ActEntry) {
 		return
 	}
 	// No REF can occur inside a batch, so the refresh epoch check of the
-	// disturb fast path is loop-invariant; with it hoisted, the
-	// steady-state victim update is a compare and an add, hand-inlined
-	// (the compiler declines to inline disturb into this loop).
-	if len(entries) == 0 {
-		return
-	}
-	rc := d.refCount
+	// disturb fast path and the TRR interval stamp are loop-invariant;
+	// with them hoisted, the steady-state victim update is a compare and
+	// an add, hand-inlined (the compiler declines to inline disturb into
+	// this loop), and a repeat ACT's sampling is a compare and a count
+	// bump.
+	rc, iv := d.refCount, d.trrInterval
 	w1, w2 := blastWeights[1], blastWeights[2]
-	// Hammer batches are dominated by same-bank runs, so the per-bank
-	// TRR log is held in a local and written back only on bank switches
-	// (and once at the end), saving a slice-header load/store per ACT.
-	// Per-bank append order and cross-bank interleaving are unchanged.
-	curBank := entries[0].Ref.bank
-	log := d.trrLog[curBank]
 	for i := range entries {
 		e := &entries[i]
 		ref := e.Ref
 		st := ref.st
 		st.acts++
 		bank := ref.bank
-		if bank != curBank {
-			d.trrLog[curBank] = log
-			curBank = bank
-			log = d.trrLog[curBank]
-		}
-		log = append(log, uint32(ref.row))
+		d.trr[bank].sample(st, ref.row, iv)
 		// Victim order (near pair before far pair) matches Activate so
 		// the flip log sequence is bit-identical.
 		if n := st.nbr[0]; n != nil {
@@ -124,7 +112,6 @@ func (d *Device) ActivateBatch(entries []ActEntry) {
 			}
 		}
 	}
-	d.trrLog[curBank] = log
 	// No observer sees actCount between entries in this configuration,
 	// so the counter advances once per batch.
 	d.actCount += uint64(len(entries))

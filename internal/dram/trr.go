@@ -43,7 +43,33 @@ func newTRRSampler(capacity int) trrSampler {
 	}
 }
 
-// observe records one activation of the row identified by key.
+// sample records one activation of the row key of this bank during
+// device interval iv, st being that row's state: observe without the
+// scan. A row's first activation in the interval takes the next slot
+// with a count of 1, or is marked untracked (slot -1) when the table is
+// full; a repeat bumps its slot's count by index. Valid only while the
+// table is cleared exactly when iv advances (Device.Refresh and
+// Device.Reset do both) and nothing else moves entries; popTop does,
+// so the RFM sampler keeps observe.
+func (s *trrSampler) sample(st *rowState, key, iv uint64) {
+	if st.trrStamp == iv {
+		if st.trrSlot >= 0 {
+			s.counts[st.trrSlot]++
+		}
+		return
+	}
+	st.trrStamp = iv
+	st.trrSlot = -1
+	if len(s.keys) < s.capacity {
+		st.trrSlot = int32(len(s.keys))
+		s.keys = append(s.keys, key)
+		s.counts = append(s.counts, 1)
+	}
+}
+
+// observe records one activation of the row identified by key, finding
+// it by a scan of the table. The DDR5 RFM sampler uses it, since its
+// popTop reorders entries under the slots sample would rely on.
 func (s *trrSampler) observe(key uint64) {
 	for i, k := range s.keys {
 		if k == key {

@@ -507,8 +507,8 @@ func FuzzPayloadDifferential(f *testing.F) {
 
 // TestPayloadSteadyStateAllocs pins the executor's zero-allocation
 // contract: once the engine, payload and device are warm, RunPayload
-// must not allocate (the activation buffer, line scratch, FIFOs and
-// TRR logs are all reused across runs).
+// must not allocate (the activation buffer, line scratch and FIFOs are
+// all reused across runs).
 func TestPayloadSteadyStateAllocs(t *testing.T) {
 	s, err := NewSession(arch.RaptorLake(), arch.DIMMS3(), 11)
 	if err != nil {
@@ -520,7 +520,7 @@ func TestPayloadSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm every lazily grown structure: line scratch, activation
-	// buffer, per-bank TRR logs, materialized row states.
+	// buffer, materialized row states.
 	for i := 0; i < 3; i++ {
 		s.Eng.RunPayload(pl, 2000)
 	}
@@ -529,4 +529,31 @@ func TestPayloadSteadyStateAllocs(t *testing.T) {
 	}); n > 0 {
 		t.Errorf("RunPayload allocates %.1f objects per run in steady state, want 0", n)
 	}
+}
+
+// BenchmarkFreshPatternCell times the per-pattern unit of a fuzzing
+// cell (Session.Fuzz): a fresh pattern is drawn, lowered, compiled and
+// run for 50 ms of simulated time on a reset device. Every iteration
+// draws the next pattern, so the payload memo misses as it does in
+// table6 and fig9. Drawing, lowering and compiling allocate for each
+// pattern; the run itself does not (TestPayloadSteadyStateAllocs).
+func BenchmarkFreshPatternCell(b *testing.B) {
+	s, err := NewSession(arch.CometLake(), arch.DIMMS1(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := RecommendedSingleBank(s.Arch)
+	fz := pattern.NewFuzzer(pattern.FuzzParams{}, stats.NewRand(7))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var acts uint64
+	for i := 0; i < b.N; i++ {
+		s.ResetDevice()
+		res, err := s.HammerPatternFor(fz.Next(), cfg, i%s.Map.Banks(), 4096, 50e6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		acts += res.ACTs
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(acts), "ns/ACT")
 }

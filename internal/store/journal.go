@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -102,7 +103,8 @@ type doneRecord struct {
 	Error string `json:"error,omitempty"`
 }
 
-// kindProbe is the first decode pass: only the record kind, so the
+// kindProbe is the first decode pass of a record whose kind the writer
+// prefix does not settle (see sniffKind): only the record kind, so the
 // second pass can decode the full kind-specific shape strictly.
 type kindProbe struct {
 	Kind string `json:"kind"`
@@ -111,9 +113,69 @@ type kindProbe struct {
 // decodeStrict decodes one journal line into v with unknown fields
 // rejected, so schema drift is caught at the line it happens on.
 func decodeStrict(raw []byte, v any) error {
+	_, err := decodeStrictWhole(raw, v)
+	return err
+}
+
+// decodeStrictWhole is decodeStrict that also reports whether the
+// value spans all of raw; kindProbe's decode rejects trailing bytes.
+func decodeStrictWhole(raw []byte, v any) (bool, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return false, err
+	}
+	return dec.InputOffset() == int64(len(raw)), nil
+}
+
+// writerPrefixes pairs each record kind with the opening the writer
+// gives its records: kind is the first field of every record struct.
+var writerPrefixes = [...][2]string{
+	{"job", `{"kind":"job",`},
+	{"cell", `{"kind":"cell",`},
+	{"done", `{"kind":"done",`},
+}
+
+// sniffKind returns the record kind named by raw's writer prefix, or ""
+// when raw does not open with one.
+func sniffKind(raw []byte) string {
+	for _, p := range writerPrefixes {
+		if len(raw) >= len(p[1]) && string(raw[:len(p[1])]) == p[1] {
+			return p[0]
+		}
+	}
+	return ""
+}
+
+// record is one decoded post-header record; its kind says which field
+// holds it.
+type record struct {
+	job  jobRecord
+	cell cellRecord
+	done doneRecord
+}
+
+// errUnknownKind is decode's answer for a kind outside the schema.
+var errUnknownKind = errors.New("unknown record kind")
+
+// decode decodes raw strictly as a record of the given kind. It returns
+// the kind field as decoded, which a later "kind" key in raw overrides,
+// and whether the record spans all of raw.
+func (r *record) decode(kind string, raw []byte) (decodedKind string, whole bool, err error) {
+	var v any
+	var k *string
+	switch kind {
+	case "job":
+		v, k = &r.job, &r.job.Kind
+	case "cell":
+		v, k = &r.cell, &r.cell.Kind
+	case "done":
+		v, k = &r.done, &r.done.Kind
+	default:
+		return "", false, errUnknownKind
+	}
+	whole, err = decodeStrictWhole(raw, v)
+	return *k, whole, err
 }
 
 // replayState is the outcome of replaying one journal: every job the
@@ -183,17 +245,36 @@ func replayJournal(data []byte) (*replayState, error) {
 }
 
 // apply decodes one post-header record and folds it into the state.
+// A record as the writer produced it is decoded once: its kind is
+// sniffed from the prefix and the line decoded strictly into that
+// kind's shape. Unless that decode succeeds, spans the whole line and
+// confirms the sniffed kind (a later "kind" key overrides the first),
+// the line takes the general path, a kind probe and then the strict
+// decode, which gives every typed error at its line.
 func (st *replayState) apply(line int, raw []byte) error {
-	var probe kindProbe
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return &DecodeError{Line: line, Kind: ErrSyntax, Msg: err.Error()}
+	var rec record
+	kind := sniffKind(raw)
+	if kind != "" {
+		if got, whole, err := rec.decode(kind, raw); err != nil || !whole || got != kind {
+			kind = ""
+		}
 	}
-	switch probe.Kind {
-	case "job":
-		var r jobRecord
-		if err := decodeStrict(raw, &r); err != nil {
+	if kind == "" {
+		var probe kindProbe
+		if err := json.Unmarshal(raw, &probe); err != nil {
 			return &DecodeError{Line: line, Kind: ErrSyntax, Msg: err.Error()}
 		}
+		kind, rec = probe.Kind, record{}
+		if _, _, err := rec.decode(kind, raw); err == errUnknownKind {
+			return &DecodeError{Line: line, Kind: ErrUnknownKind,
+				Msg: fmt.Sprintf("unknown record kind %q", kind)}
+		} else if err != nil {
+			return &DecodeError{Line: line, Kind: ErrSyntax, Msg: err.Error()}
+		}
+	}
+	switch kind {
+	case "job":
+		r := &rec.job
 		j, ok := st.jobs[r.ID]
 		if !ok {
 			j = &Job{Cells: make(map[int]CellResult)}
@@ -205,10 +286,7 @@ func (st *replayState) apply(line int, raw []byte) error {
 			Parallel: r.Parallel, Created: time.Unix(0, r.CreatedNS).UTC(),
 		}
 	case "cell":
-		var r cellRecord
-		if err := decodeStrict(raw, &r); err != nil {
-			return &DecodeError{Line: line, Kind: ErrSyntax, Msg: err.Error()}
-		}
+		r := &rec.cell
 		j, ok := st.jobs[r.Job]
 		if !ok {
 			return &DecodeError{Line: line, Kind: ErrUnknownJob,
@@ -216,19 +294,13 @@ func (st *replayState) apply(line int, raw []byte) error {
 		}
 		j.Cells[r.Index] = CellResult{Index: r.Index, Key: r.Key, Node: r.Node, Stat: r.Stat, Result: r.Result}
 	case "done":
-		var r doneRecord
-		if err := decodeStrict(raw, &r); err != nil {
-			return &DecodeError{Line: line, Kind: ErrSyntax, Msg: err.Error()}
-		}
+		r := &rec.done
 		j, ok := st.jobs[r.Job]
 		if !ok {
 			return &DecodeError{Line: line, Kind: ErrUnknownJob,
 				Msg: fmt.Sprintf("done record for job %q the journal never introduced", r.Job)}
 		}
 		j.State, j.Error = r.State, r.Error
-	default:
-		return &DecodeError{Line: line, Kind: ErrUnknownKind,
-			Msg: fmt.Sprintf("unknown record kind %q", probe.Kind)}
 	}
 	return nil
 }

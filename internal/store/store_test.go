@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -250,6 +251,36 @@ func TestHeaderErrors(t *testing.T) {
 	}
 }
 
+// TestReplayKindKeysDisagree covers records whose kind the writer
+// prefix does not settle. Replay must decide them exactly as a kind
+// probe followed by a strict decode does: a later "kind" key overrides
+// the first, and bytes after the record are a syntax error.
+func TestReplayKindKeysDisagree(t *testing.T) {
+	const head = `{"kind":"header","version":"v1"}` + "\n" +
+		`{"kind":"job","id":"j","spec":"s","seed":1,"scale":1,"parallel":1,"created_ns":1}` + "\n"
+	// Line 3 fits both the done and the cell shape; its last kind makes
+	// it a cell record. Line 4 fits only the done shape its last kind
+	// names.
+	st, err := replayJournal([]byte(head +
+		`{"kind":"done","job":"j","kind":"cell"}` + "\n" +
+		`{"kind":"cell","job":"j","kind":"done","state":"failed"}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := st.jobs["j"]
+	if want := map[int]CellResult{0: {}}; !reflect.DeepEqual(j.Cells, want) || j.State != "failed" {
+		t.Fatalf("job = cells %+v state %q, want cells %+v state \"failed\"", j.Cells, j.State, want)
+	}
+
+	// Not the final line, which would be dropped as a torn tail.
+	_, err = replayJournal([]byte(head + `{"kind":"done","job":"j","state":"done"} {}` + "\n" +
+		`{"kind":"done","job":"j","state":"done"}` + "\n"))
+	var de *DecodeError
+	if !errors.As(err, &de) || de.Kind != ErrSyntax || de.Line != 3 {
+		t.Fatalf("trailing bytes: err = %v, want %q at line 3", err, ErrSyntax)
+	}
+}
+
 func TestTornHeaderRecoversEmpty(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(`{"kind":"hea`), 0o644); err != nil {
@@ -311,4 +342,53 @@ func TestClosedStoreRefusesAppends(t *testing.T) {
 	if err := st.WriteSnapshot(&Snapshot{ID: "j"}); err == nil {
 		t.Fatal("snapshot after Close succeeded")
 	}
+}
+
+// BenchmarkReplayJournal replays a 927-record journal of the shape
+// serve writes (103 jobs, each a job record, 7 cell records with
+// 300-byte results and a done record) and reports µs per record: the
+// cost store.Open pays per record when a coordinator restarts.
+func BenchmarkReplayJournal(b *testing.B) {
+	dir := b.TempDir()
+	st, _, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := campaign.EncodeResult(strings.Repeat("x", 300))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j := 0; j < 103; j++ {
+		id := fmt.Sprintf("job-%06d", j)
+		if err := st.AppendJob(JobMeta{ID: id, Spec: "fig9", Seed: int64(j), Scale: 0.5, Parallel: 2,
+			Created: time.Unix(0, int64(j)).UTC()}); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 7; i++ {
+			key := fmt.Sprintf("arch/dimm/k%d", i)
+			if err := st.AppendCell(id, CellResult{Index: i, Key: key, Node: "w-001",
+				Stat:   campaign.CellStat{Key: key, Seed: int64(i) * 7919, Attempts: 1, Wall: 123456789},
+				Result: res}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := st.AppendDone(id, "done", ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	records := strings.Count(string(data), "\n") - 1 // the header is not a record
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := replayJournal(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*records), "µs/record")
 }
