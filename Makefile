@@ -3,13 +3,18 @@ FUZZTIME ?= 10s
 SERVESMOKE_OUT ?= smoke-artifacts
 DISTSMOKE_OUT ?= distsmoke-artifacts
 
-.PHONY: build vet test race determinism doccheck verify bench benchdiff fuzz perfbench-test servesmoke distsmoke
+.PHONY: build vet fmt test race determinism doccheck verify benchdiff fuzz perfbench-test servesmoke distsmoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when a Go file anywhere in the tree (perfbench included)
+# is not gofmt-clean; `gofmt -l .` lists the offenders.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # The experiments package alone runs for many minutes (campaign grids
 # plus golden renders); the explicit -timeout keeps a noisy shared CI
@@ -40,7 +45,7 @@ determinism:
 doccheck: vet
 	$(GO) test -run 'TestPackageDocComments|TestDocLinks|TestAPIDocCoversRoutes|TestOperationsDocCoversMetrics' .
 
-verify: build vet test race determinism doccheck
+verify: build fmt vet test race determinism doccheck
 
 # fuzz gives each native fuzz target a short budget on top of the
 # checked-in seed corpus: the differential oracle (random command
@@ -65,18 +70,15 @@ fuzz:
 perfbench-test:
 	cd perfbench && $(GO) test -race -short .
 
-# bench regenerates the machine-readable benchmark snapshot
-# (BENCH_<date>.json); see cmd/bench for flags.
-bench:
-	$(GO) run ./cmd/bench
-
-# benchdiff is the benchmark regression gate: it compares the two
-# newest checked-in BENCH_*.json snapshots and fails on a >10% ns/op
-# or any allocs/op regression in the pinned steady-state benchmarks
-# (the cmd/bench -micro set). The report lands in benchdiff-report.txt
-# for CI to upload.
+# benchdiff is the benchmark regression gate: it builds the pinned
+# benchmarks' test binaries at HEAD^ and in the working tree, runs the
+# two alternately on this host for 41 rounds, and fails when head's
+# ns/op is more than 10% above base's in the median round, on any
+# allocs/op rise, or on a pinned benchmark gone missing (cmd/benchdiff
+# has the rules). The report lands in benchdiff-report.txt for CI to
+# upload.
 benchdiff:
-	$(GO) run ./cmd/benchdiff -report benchdiff-report.txt
+	$(GO) run ./cmd/benchdiff -base HEAD^ -report benchdiff-report.txt
 
 # servesmoke boots the real serverd binary, submits a short campaign
 # job over HTTP, diffs the served result against the golden canonical

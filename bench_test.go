@@ -1,13 +1,8 @@
-// Benchmarks regenerating the paper's evaluation: one benchmark per
-// table and figure, each driving the corresponding experiment harness.
-// The reported time is the cost of regenerating that artifact on this
-// machine; the artifact's *content* (flip counts, runtimes, accuracy) is
-// printed by `go run ./cmd/experiments all` and recorded in
-// EXPERIMENTS.md.
-//
-// The heavyweight campaigns (Table 6, Fig. 9, Fig. 11) run at a reduced
-// scale here so the full bench suite completes in minutes; pass a larger
-// -scale to cmd/experiments for paper-sized budgets.
+// Hot-path micro benchmarks of the public API, gated by cmd/benchdiff
+// together with one steady-state benchmark per layer below (see
+// EXPERIMENTS.md, "Benchmark regression gate"). The cost of
+// regenerating each table and figure is measured end to end by
+// perfbench, and its bytes are pinned by the goldens.
 package rhohammer
 
 import (
@@ -15,101 +10,7 @@ import (
 
 	"rhohammer/internal/arch"
 	"rhohammer/internal/dram"
-	"rhohammer/internal/experiments"
 )
-
-// benchCfg returns a deterministic experiment configuration; seeds vary
-// with b.N iterations deliberately not at all — each iteration runs the
-// identical experiment, which is what we want to time.
-func benchCfg(scale float64) experiments.Config {
-	return experiments.Config{Seed: 42, Scale: scale}
-}
-
-func BenchmarkTable1MachineSetups(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table1(benchCfg(1))
-	}
-}
-
-func BenchmarkTable2DIMMInventory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table2(benchCfg(1))
-	}
-}
-
-func BenchmarkFig3Threshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig3(benchCfg(1))
-	}
-}
-
-func BenchmarkFig4DuetHeatmap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig4(benchCfg(0.5))
-	}
-}
-
-func BenchmarkTable4Recovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table4(benchCfg(1))
-	}
-}
-
-func BenchmarkTable5RETools(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table5(benchCfg(0.5))
-	}
-}
-
-func BenchmarkFig6PrimitiveTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig6(benchCfg(1))
-	}
-}
-
-func BenchmarkFig8MultiBank(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig8(benchCfg(1))
-	}
-}
-
-func BenchmarkFig9FuzzBanks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig9(benchCfg(0.5))
-	}
-}
-
-func BenchmarkFig10NopSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig10(benchCfg(0.7))
-	}
-}
-
-func BenchmarkTable3Barriers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table3(benchCfg(0.7))
-	}
-}
-
-func BenchmarkTable6Fuzzing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table6(benchCfg(0.4))
-	}
-}
-
-func BenchmarkFig11Sweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig11(benchCfg(0.5))
-	}
-}
-
-func BenchmarkEndToEndExploit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.E2E(benchCfg(0.7))
-	}
-}
-
-// Component micro-benchmarks: the hot paths downstream users care about.
 
 func BenchmarkMappingRecovery(b *testing.B) {
 	b.ReportAllocs()
@@ -185,23 +86,5 @@ func BenchmarkActivate(b *testing.B) {
 		if i%173 == 172 {
 			dev.Refresh(now)
 		}
-	}
-}
-
-func BenchmarkMitigations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Mitigations(benchCfg(0.5))
-	}
-}
-
-func BenchmarkAblationCounterSpec(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.AblationCounterSpec(benchCfg(0.5))
-	}
-}
-
-func BenchmarkAblationSamplerSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.AblationSamplerSize(benchCfg(0.5))
 	}
 }

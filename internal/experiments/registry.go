@@ -56,9 +56,10 @@ func register(name string, kind campaign.Kind, title string, build func(Config) 
 }
 
 // Run executes the named campaign under cfg and returns its rendered
-// result — the registry-driven entry point cmd/experiments and
-// cmd/bench use. Unknown names are the only expected error; execution
-// failures indicate a broken profile and surface as errors too.
+// result — the registry-driven entry point the goldens use
+// (cmd/experiments calls RunOutcome for the per-cell stats too).
+// Unknown names are the only expected error; execution failures
+// indicate a broken profile and surface as errors too.
 func Run(name string, cfg Config) (Renderer, error) {
 	r, _, err := RunOutcome(name, cfg)
 	return r, err

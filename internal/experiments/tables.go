@@ -251,11 +251,17 @@ func Table5(cfg Config) *Table5Result { return runSpec[*Table5Result](cfg, "tabl
 func reverseTool(name string) func(*timing.Measurer, *mem.Pool) reverse.Result {
 	switch name {
 	case "DRAMA":
-		return func(m *timing.Measurer, p *mem.Pool) reverse.Result { return reverse.RecoverDRAMA(m, p, reverse.Options{}) }
+		return func(m *timing.Measurer, p *mem.Pool) reverse.Result {
+			return reverse.RecoverDRAMA(m, p, reverse.Options{})
+		}
 	case "DRAMDig":
-		return func(m *timing.Measurer, p *mem.Pool) reverse.Result { return reverse.RecoverDRAMDig(m, p, reverse.Options{}) }
+		return func(m *timing.Measurer, p *mem.Pool) reverse.Result {
+			return reverse.RecoverDRAMDig(m, p, reverse.Options{})
+		}
 	case "DARE":
-		return func(m *timing.Measurer, p *mem.Pool) reverse.Result { return reverse.RecoverDARE(m, p, reverse.Options{}) }
+		return func(m *timing.Measurer, p *mem.Pool) reverse.Result {
+			return reverse.RecoverDARE(m, p, reverse.Options{})
+		}
 	case "rhoHammer":
 		return func(m *timing.Measurer, p *mem.Pool) reverse.Result { return reverse.Recover(m, p, reverse.Options{}) }
 	default:

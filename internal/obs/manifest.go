@@ -72,7 +72,7 @@ func NewManifest(tool string, args []string) *Manifest {
 	return &Manifest{
 		Tool:      tool,
 		Args:      args,
-		GitRev:    GitRev(),
+		GitRev:    gitRev(),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
@@ -80,10 +80,10 @@ func NewManifest(tool string, args []string) *Manifest {
 	}
 }
 
-// GitRev returns the VCS revision stamped into the binary by the Go
+// gitRev returns the VCS revision stamped into the binary by the Go
 // toolchain, with a "+dirty" suffix for modified trees, or "" when the
 // build carries no VCS info (e.g. `go test` binaries).
-func GitRev() string {
+func gitRev() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return ""

@@ -9,7 +9,7 @@
 // processed, how well the hot caches performed (memctrl decode cache,
 // hammer payload memo), and how the campaign workers spent their time.
 // HammerSim-style simulators live or die by this attribution, and the
-// same counters back the BENCH_*.json trajectory.
+// same counters back perfbench's per-layer rows.
 //
 // Design contract — observation must be free when off and inert when on:
 //
@@ -20,7 +20,7 @@
 //     check in the hot layers and allocates nothing (the PR 1 benchmark
 //     contract of 0 steady-state allocs/op is preserved).
 //   - Counters are snapshotted — by cmd/experiments (-metrics), by
-//     cmd/bench (into BENCH_*.json) and into run manifests — in a
+//     serverd's /metrics, by perfbench and into run manifests — in a
 //     Prometheus-style text format, never scraped mid-flight from hot
 //     structs.
 //
@@ -98,7 +98,7 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-global registry the standard counters below
-// live in; cmd/experiments and cmd/bench snapshot it.
+// live in; cmd/experiments, serverd and perfbench snapshot it.
 var Default = NewRegistry()
 
 // Counter returns the registry's counter with the given name, creating
@@ -138,7 +138,7 @@ func (r *Registry) Snapshot() []Metric {
 }
 
 // Values returns the snapshot as a map, for JSON embedding (run
-// manifests, BENCH_*.json).
+// manifests, perfbench reports).
 func (r *Registry) Values() map[string]int64 {
 	snap := r.Snapshot()
 	out := make(map[string]int64, len(snap))

@@ -66,6 +66,12 @@ type Job struct {
 	// lifetime. Both surface in the status body (API.md).
 	persisted bool
 	recovered bool
+	// journaled marks persisted jobs whose job record is in the store's
+	// current journal: admitted or resumed since the store was opened.
+	// Evicting one journals a done record before its snapshot goes; a
+	// snapshot-recovered job's records were compacted away, so its
+	// eviction only deletes the snapshot.
+	journaled bool
 
 	created  time.Time
 	started  time.Time

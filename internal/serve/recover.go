@@ -10,15 +10,16 @@ import (
 )
 
 // Durability integration (OPERATIONS.md is the runbook view). With
-// Config.StoreDir set, every registered-spec job journals its commit
-// points to the durable store: admission (persistAdmitLocked), each
+// Config.StoreDir set, every registered-spec job commits its life to
+// the durable store: admission (persistAdmitLocked) and each
 // successfully completed cell (persistCell — locally executed cells
 // are journaled from the pool's OnCell hook, which carries the
-// result; leased cells reuse the wire gob bytes the worker posted),
-// and the terminal transition (persistTerminalLocked: snapshot first,
-// done record second, so a crash between the two recovers the job as
-// in-flight with every cell complete, converging to the same terminal
-// state).
+// result; leased cells reuse the wire gob bytes the worker posted)
+// are journal records; the terminal transition is the atomic snapshot
+// alone (persistTerminalLocked), so a crash before its rename recovers
+// the job as in-flight with its journaled cells, converging to the
+// same terminal state. Retention eviction (evictOldestLocked) journals
+// a done record and then deletes the snapshot.
 // recoverState is the other half: New replays the store into servable
 // terminal jobs and re-queued in-flight jobs before the shard pool
 // starts.
@@ -85,12 +86,7 @@ func (s *Server) recoverState(state *store.State) {
 		}
 	}
 	for len(s.done) > s.cfg.Retain {
-		evict := s.done[0]
-		s.done = s.done[1:]
-		delete(s.jobs, evict)
-		if err := s.store.DeleteSnapshot(evict); err != nil {
-			log.Printf("serve: store recovery: evicting %s: %v", evict, err)
-		}
+		s.evictOldestLocked()
 	}
 
 	for _, sj := range state.Jobs {
@@ -105,7 +101,7 @@ func (s *Server) recoverState(state *store.State) {
 			j := &Job{
 				ID: sj.Meta.ID, SpecName: sj.Meta.Spec, Seed: sj.Meta.Seed,
 				Scale: sj.Meta.Scale, Parallel: sj.Meta.Parallel,
-				persisted: true, recovered: true,
+				persisted: true, recovered: true, journaled: true,
 				created:   sj.Meta.Created,
 				cellsDone: len(sj.Cells),
 			}
@@ -119,7 +115,7 @@ func (s *Server) recoverState(state *store.State) {
 		spec := entry.Build(campaign.Params{Seed: sj.Meta.Seed, Scale: sj.Meta.Scale})
 		j := newJob(sj.Meta.Spec, spec, sj.Meta.Seed, sj.Meta.Scale, sj.Meta.Parallel)
 		j.ID, j.created = sj.Meta.ID, sj.Meta.Created
-		j.cacheable, j.distributable, j.persisted, j.recovered = true, true, true, true
+		j.cacheable, j.distributable, j.persisted, j.recovered, j.journaled = true, true, true, true, true
 		// Prefill the merge arrays from the journal: runJob runs or
 		// leases only the cells left without a result.
 		for idx, cell := range sj.Cells {
@@ -195,7 +191,9 @@ func (s *Server) persistAdmitLocked(j *Job) {
 	if err != nil {
 		j.persisted = false
 		log.Printf("serve: job %s will not survive a restart: %v", j.ID, err)
+		return
 	}
+	j.journaled = true
 }
 
 // persistCell journals one successfully completed cell. raw, when
@@ -223,11 +221,10 @@ func (s *Server) persistCell(jobID string, index int, node string, stat campaign
 	}
 }
 
-// persistTerminalLocked snapshots a terminal persisted job and marks
-// it done in the journal. The snapshot lands first: a crash between
-// the two recovers the job as in-flight with every cell complete,
-// which converges to the same terminal state on resume. Caller holds
-// s.mu.
+// persistTerminalLocked snapshots a terminal persisted job. The
+// snapshot's rename is the job's terminal commit point: a crash before
+// it recovers the job as in-flight with every journaled cell, which
+// converges to the same terminal state on resume. Caller holds s.mu.
 func (s *Server) persistTerminalLocked(j *Job) {
 	if s.store == nil || !j.persisted || !j.state.terminal() {
 		return
@@ -241,10 +238,30 @@ func (s *Server) persistTerminalLocked(j *Job) {
 	}
 	if err := s.store.WriteSnapshot(snap); err != nil {
 		log.Printf("serve: job %s snapshot not written: %v", j.ID, err)
+	}
+}
+
+// evictOldestLocked drops the oldest retained terminal job from memory
+// and from the store. A job the current journal introduced gets a done
+// record first, so the next boot reads its missing snapshot as an
+// eviction; if that append fails the snapshot stays, and the next
+// boot's retention trims it. Caller holds s.mu.
+func (s *Server) evictOldestLocked() {
+	id := s.done[0]
+	s.done = s.done[1:]
+	j := s.jobs[id]
+	delete(s.jobs, id)
+	if s.store == nil || j == nil || !j.persisted {
 		return
 	}
-	if err := s.store.AppendDone(j.ID, string(j.state), j.err); err != nil {
-		log.Printf("serve: job %s done record not written: %v", j.ID, err)
+	if j.journaled {
+		if err := s.store.AppendDone(id, string(j.state), j.err); err != nil {
+			log.Printf("serve: evicting job %s: done record not written, keeping its snapshot: %v", id, err)
+			return
+		}
+	}
+	if err := s.store.DeleteSnapshot(id); err != nil {
+		log.Printf("serve: evicting job %s: %v", id, err)
 	}
 }
 

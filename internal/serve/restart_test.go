@@ -269,6 +269,121 @@ func TestRecoveryUnknownSpecFailsLoud(t *testing.T) {
 	}
 }
 
+// TestRestartSnapshotWithoutDoneRecord: a store holding a job record,
+// every cell and a snapshot but no done record — the snapshot is the
+// terminal commit point — must bring the job back terminal, once. With
+// Retain 3, two new jobs must leave it servable.
+func TestRestartSnapshotWithoutDoneRecord(t *testing.T) {
+	reg := tinyRegistry()
+	want := standaloneEnvelope(t, reg, `{"spec":"tiny","seed":7}`)
+
+	dir := t.TempDir()
+	st, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000001"
+	created := time.Unix(0, 42).UTC()
+	if err := st.AppendJob(store.JobMeta{ID: id, Spec: "tiny", Seed: 7, Scale: 1, Created: created}); err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := reg.Lookup("tiny")
+	spec := entry.Build(campaign.Params{Seed: 7, Scale: 1})
+	for idx, cell := range spec.Cells {
+		seed := spec.CellSeed(cell.Key)
+		result, execErr := spec.Exec(cell, seed)
+		if execErr != nil {
+			t.Fatal(execErr)
+		}
+		data, encErr := campaign.EncodeResult(result)
+		if encErr != nil {
+			t.Fatal(encErr)
+		}
+		if err := st.AppendCell(id, store.CellResult{
+			Index: idx, Key: cell.Key,
+			Stat:   campaign.CellStat{Key: cell.Key, Seed: seed, Attempts: 1},
+			Result: data,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.WriteSnapshot(&store.Snapshot{
+		ID: id, Spec: "tiny", Seed: 7, Scale: 1, State: string(StateDone),
+		CellsTotal: len(spec.Cells), CellsDone: len(spec.Cells),
+		Created: created, Started: created, Finished: time.Unix(0, 43).UTC(),
+		Canonical: want,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{Registry: reg, StoreDir: dir, Retain: 3})
+	if fin := waitTerminal(t, ts, id); fin.State != StateDone || !fin.Recovered {
+		t.Fatalf("recovered job = %+v, want recovered done job", fin)
+	}
+	for _, body := range []string{`{"spec":"tiny","seed":8}`, `{"spec":"tiny","seed":9}`} {
+		if fin := waitTerminal(t, ts, submit(t, ts, body)); fin.State != StateDone {
+			t.Fatalf("new job = %s (%s)", fin.State, fin.Error)
+		}
+	}
+	code, got := fetch(t, ts.URL+"/v1/jobs/"+id+"/result")
+	if code != http.StatusOK {
+		t.Fatalf("result of the recovered job after two new jobs under Retain 3 = %d, want 200", code)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("recovered envelope differs from standalone:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestEvictRecoveredSnapshotReopens: a snapshot-recovered job's journal
+// records were compacted away at boot, so evicting it must only delete
+// its snapshot. A done record naming it would make the next Open fail
+// with ErrUnknownJob.
+func TestEvictRecoveredSnapshotReopens(t *testing.T) {
+	reg := tinyRegistry()
+	dir := t.TempDir()
+
+	s1, err := New(Config{Registry: reg, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	old := submit(t, ts1, `{"spec":"tiny","seed":7}`)
+	if fin := waitTerminal(t, ts1, old); fin.State != StateDone {
+		t.Fatalf("first job = %s (%s)", fin.State, fin.Error)
+	}
+	s1.crash()
+	ts1.Close()
+
+	// The second boot recovers the job from its snapshot alone; one new
+	// job under Retain 1 evicts it.
+	s2, err := New(Config{Registry: reg, StoreDir: dir, Retain: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	fresh := submit(t, ts2, `{"spec":"tiny","seed":8}`)
+	if fin := waitTerminal(t, ts2, fresh); fin.State != StateDone {
+		t.Fatalf("new job = %s (%s)", fin.State, fin.Error)
+	}
+	if code, _ := fetch(t, ts2.URL+"/v1/jobs/"+old); code != http.StatusNotFound {
+		t.Fatalf("evicted job = %d, want 404", code)
+	}
+	s2.crash()
+	ts2.Close()
+
+	_, state, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("store does not reopen after evicting a snapshot-recovered job: %v", err)
+	}
+	if len(state.Jobs) != 0 || len(state.Warnings) != 0 || len(state.Snapshots) != 1 || state.Snapshots[0].ID != fresh {
+		t.Fatalf("reopened store = jobs %d, warnings %v, snapshots %d; want only %s's snapshot",
+			len(state.Jobs), state.Warnings, len(state.Snapshots), fresh)
+	}
+}
+
 // TestWorkerDrainRoute walks POST /v1/workers/{name}/drain: resolution
 // by ID and by unique name, 404 for strangers, 409 for ambiguous names,
 // and the core behavior — a draining worker is refused leases even when

@@ -550,14 +550,7 @@ func (s *Server) finishLocked(j *Job, st State, errText string) {
 	}
 	s.done = append(s.done, j.ID)
 	for len(s.done) > s.cfg.Retain {
-		evict := s.done[0]
-		s.done = s.done[1:]
-		delete(s.jobs, evict)
-		if s.store != nil {
-			// Retention and durable retention evict together; a failed
-			// delete only means the snapshot reappears after a restart.
-			_ = s.store.DeleteSnapshot(evict)
-		}
+		s.evictOldestLocked()
 	}
 	s.recomputeOldestLocked()
 }

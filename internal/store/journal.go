@@ -57,8 +57,9 @@ func (e *DecodeError) Error() string {
 }
 
 // The journal is JSONL: one JSON record per line, first line a header.
-// Three record kinds follow the header, mirroring the three commit
-// points of a job's life:
+// Three record kinds follow the header: a job's admission and each of
+// its completed cells (the commit points before its snapshot), and its
+// retention eviction:
 //
 //	{"kind":"header","version":"v1"}
 //	{"kind":"job","id":...,"spec":...,"seed":...,"scale":...,"parallel":...,"created_ns":...}

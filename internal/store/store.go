@@ -1,24 +1,26 @@
 // Package store is the coordinator's crash-safe job store: a
-// versioned JSONL append journal of job/cell/done state transitions
-// plus a snapshot directory of terminal job envelopes, stdlib only.
+// versioned JSONL append journal of job/cell/done records plus a
+// snapshot directory of terminal job envelopes, stdlib only.
 //
-// The write path is a commit log. Every state transition the serving
-// layer must not lose — a job admitted, a cell completed (its stats
-// and gob-encoded result via the campaign wire codec), a job reaching
-// a terminal state — is one appended JSONL record followed by fsync,
-// so the record is durable before the transition is acknowledged
-// anywhere else. Terminal jobs additionally snapshot their canonical
-// and timed envelopes plus manifest to snapshots/<job-id>.json
-// (written atomically via rename), which is what lets retention
-// survive restarts without replaying result bytes out of the journal.
+// The write path is a commit log, and one record decides each job's
+// fate. A job admitted and a cell completed (its stats and gob-encoded
+// result via the campaign wire codec) are each one appended JSONL
+// record followed by fsync, so the record is durable before the
+// transition is acknowledged anywhere else. A job reaching a terminal
+// state commits by its snapshot alone: snapshots/<job-id>.json holds
+// its canonical and timed envelopes plus manifest, written atomically
+// (temp file, fsync, rename). The done record is the eviction marker:
+// retention appends it and only then deletes the snapshot.
 //
 // The read path is replay-on-boot. Open replays the journal into
 // per-job state, tolerates a torn final line (crash mid-append: the
 // unacknowledged record is dropped), rejects real corruption with
 // typed *DecodeError values naming the offending line (the
-// internal/replay codec contract), loads the snapshot directory, and
-// then compacts: the journal is rewritten to hold only in-flight
-// jobs, since terminal jobs live in their snapshots. Replay is
+// internal/replay codec contract), and loads the snapshot directory.
+// A job with a loadable snapshot is terminal; a done record without a
+// snapshot means retention evicted the job, which is dropped
+// silently; neither means the job is in flight. Open then compacts:
+// the journal is rewritten to hold only in-flight jobs. Replay is
 // idempotent — duplicated records re-apply to the same state — so a
 // journal surviving a crash between append and acknowledgment still
 // recovers exactly once.
@@ -73,13 +75,13 @@ type CellResult struct {
 }
 
 // Job is one journaled job as replay reconstructs it: metadata, the
-// completed cells by index, and — once a done record lands — its
-// terminal state.
+// completed cells by index, and the terminal state its done record
+// names once retention evicted it.
 type Job struct {
 	Meta  JobMeta
 	Cells map[int]CellResult
-	// State is the terminal state from the done record, "" while the
-	// job is still in flight.
+	// State is the terminal state from the done record, "" until the
+	// job is evicted.
 	State string
 	// Error is the terminal error string, "" on success.
 	Error string
@@ -89,19 +91,19 @@ type Job struct {
 // GET /v1/jobs/{id}/status, /result (canonical and timed), and
 // /manifest after a restart without re-running anything.
 type Snapshot struct {
-	Version   string    `json:"version"`
-	ID        string    `json:"id"`
-	Spec      string    `json:"spec"`
-	Seed      int64     `json:"seed"`
-	Scale     float64   `json:"scale"`
-	Parallel  int       `json:"parallel"`
+	Version    string    `json:"version"`
+	ID         string    `json:"id"`
+	Spec       string    `json:"spec"`
+	Seed       int64     `json:"seed"`
+	Scale      float64   `json:"scale"`
+	Parallel   int       `json:"parallel"`
 	State      string    `json:"state"`
 	Error      string    `json:"error,omitempty"`
 	CellsTotal int       `json:"cells_total"`
 	CellsDone  int       `json:"cells_done"`
-	Created   time.Time `json:"created"`
-	Started   time.Time `json:"started"`
-	Finished  time.Time `json:"finished"`
+	Created    time.Time `json:"created"`
+	Started    time.Time `json:"started"`
+	Finished   time.Time `json:"finished"`
 	// Canonical and Timed are the result envelopes exactly as the serve
 	// layer would write them (base64 in the JSON encoding); Manifest is
 	// the obs run manifest. All optional: a canceled job has none.
@@ -112,20 +114,21 @@ type Snapshot struct {
 
 // State is everything Open recovered from the store directory.
 type State struct {
-	// Jobs are the in-flight jobs (no terminal record yet) in
-	// first-journaled order — the jobs the coordinator must resume.
+	// Jobs are the in-flight jobs (neither a snapshot nor a done
+	// record) in first-journaled order — the jobs the coordinator must
+	// resume.
 	Jobs []*Job
 	// Snapshots are the terminal jobs, sorted by finish time then ID —
 	// the retention window the coordinator re-serves.
 	Snapshots []*Snapshot
 	// Warnings are non-fatal recovery notes (an unreadable snapshot
-	// file, a terminal job missing its snapshot). The caller should log
-	// them loudly; recovery proceeds without the affected artifact.
+	// file). The caller should log them loudly; recovery proceeds
+	// without the affected artifact.
 	Warnings []string
 }
 
 // Store is an open, append-ready job store. All methods are safe for
-// concurrent use. After Close, appends fail — the crash-simulation
+// concurrent use. After Close, every write fails — the crash-simulation
 // hook the restart tests rely on.
 type Store struct {
 	dir string
@@ -165,16 +168,15 @@ func Open(dir string) (*Store, *State, error) {
 	for _, s := range snaps {
 		snapIDs[s.ID] = true
 	}
+	// One record decides each job's fate: a loadable snapshot makes it
+	// terminal, a done record without one marks a retention eviction,
+	// and neither leaves it in flight. A snapshot lost to damage
+	// therefore re-runs the job from its journaled cells, to the same
+	// bytes.
 	var inflight []*Job
 	for _, id := range rs.order {
-		j := rs.jobs[id]
-		if j.State == "" {
+		if j := rs.jobs[id]; !snapIDs[id] && j.State == "" {
 			inflight = append(inflight, j)
-			continue
-		}
-		if !snapIDs[id] {
-			st.Warnings = append(st.Warnings,
-				fmt.Sprintf("job %s is terminal (%s) but has no snapshot; dropping from retention", id, j.State))
 		}
 	}
 	st.Jobs = inflight
@@ -227,10 +229,13 @@ func (s *Store) AppendCell(jobID string, c CellResult) error {
 	})
 }
 
-// AppendDone journals a job's terminal transition. The caller writes
-// the snapshot first (WriteSnapshot), then marks done: a crash between
-// the two recovers the job as in-flight with all cells complete, which
-// converges to the same terminal state on resume.
+// AppendDone journals a terminal job's retention eviction. The caller
+// appends it before deleting the job's snapshot (DeleteSnapshot), and
+// only for a job whose job record is in the current journal (admitted
+// or resumed since Open): compaction dropped every other job's
+// records, and a done record naming none is an ErrUnknownJob at the
+// next Open. A crash between the append and the delete leaves a
+// snapshot Open still serves as terminal.
 func (s *Store) AppendDone(jobID, state, errMsg string) error {
 	return s.append(doneRecord{Kind: "done", Job: jobID, State: state, Error: errMsg})
 }
@@ -257,7 +262,8 @@ func (s *Store) append(rec any) error {
 }
 
 // WriteSnapshot durably writes one terminal job snapshot, atomically
-// via a temp file and rename.
+// via a temp file and rename. The rename is the job's terminal commit
+// point: from then on Open recovers it as terminal.
 func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	snap.Version = Version
 	data, err := json.MarshalIndent(snap, "", "  ")
@@ -294,8 +300,14 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 }
 
 // DeleteSnapshot removes one terminal snapshot — the retention
-// eviction path. Deleting an absent snapshot is not an error.
+// eviction path. Deleting an absent snapshot is not an error; after
+// Close it fails, like every write.
 func (s *Store) DeleteSnapshot(id string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("store: closed")
+	}
 	err := os.Remove(filepath.Join(s.dir, snapshotDirName, id+".json"))
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: %w", err)

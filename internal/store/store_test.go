@@ -90,8 +90,8 @@ func TestTerminalJobMovesToSnapshot(t *testing.T) {
 	snap := &Snapshot{
 		ID: "job-000001", Spec: "tiny", Seed: 42, Scale: 1, Parallel: 2,
 		State: "done", CellsDone: 2,
-		Created:  time.Unix(0, 1000).UTC(),
-		Finished: time.Unix(0, 2000).UTC(),
+		Created:   time.Unix(0, 1000).UTC(),
+		Finished:  time.Unix(0, 2000).UTC(),
 		Canonical: []byte(`{"ok":true}`),
 	}
 	if err := st.WriteSnapshot(snap); err != nil {
@@ -121,6 +121,65 @@ func TestTerminalJobMovesToSnapshot(t *testing.T) {
 	}
 	if strings.Contains(string(data), "job-000001") {
 		t.Fatalf("compacted journal still mentions the terminal job:\n%s", data)
+	}
+}
+
+// TestSnapshotAloneIsTerminal: the snapshot is a job's terminal commit
+// point. A job record, its cells and a snapshot without a done record
+// (a store written before done records marked eviction, killed between
+// its snapshot and its done record) recover as terminal only, not also
+// as in flight.
+func TestSnapshotAloneIsTerminal(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := open(t, dir)
+	seedJob(t, st, "job-000001")
+	if err := st.WriteSnapshot(&Snapshot{ID: "job-000001", Spec: "tiny", State: "done", CellsDone: 2}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	_, state := open(t, dir)
+	if len(state.Jobs) != 0 {
+		t.Fatalf("snapshotted job also recovered in flight: %+v", state.Jobs[0].Meta)
+	}
+	if len(state.Snapshots) != 1 || state.Snapshots[0].ID != "job-000001" {
+		t.Fatalf("snapshots = %+v, want job-000001", state.Snapshots)
+	}
+	if len(state.Warnings) != 0 {
+		t.Fatalf("warnings = %v", state.Warnings)
+	}
+}
+
+// TestEvictedJobDroppedSilently: retention eviction journals a done
+// record and then deletes the snapshot. Open reads that pair as an
+// eviction, not as damage: no warning, nothing recovered, and
+// compaction drops the job's records.
+func TestEvictedJobDroppedSilently(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := open(t, dir)
+	seedJob(t, st, "job-000001")
+	if err := st.WriteSnapshot(&Snapshot{ID: "job-000001", Spec: "tiny", State: "done", CellsDone: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendDone("job-000001", "done", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.DeleteSnapshot("job-000001"); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	_, state := open(t, dir)
+	if len(state.Jobs) != 0 || len(state.Snapshots) != 0 || len(state.Warnings) != 0 {
+		t.Fatalf("evicted job recovered: jobs %d, snapshots %d, warnings %v",
+			len(state.Jobs), len(state.Snapshots), state.Warnings)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "job-000001") {
+		t.Fatalf("compacted journal still mentions the evicted job:\n%s", data)
 	}
 }
 
@@ -292,12 +351,16 @@ func TestTornHeaderRecoversEmpty(t *testing.T) {
 	}
 }
 
+// TestCorruptSnapshotIsWarning: an unreadable snapshot is skipped with
+// a warning naming it, and a journaled job whose snapshot it was is in
+// flight again, so it re-runs from its journaled cells.
 func TestCorruptSnapshotIsWarning(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := open(t, dir)
 	if err := st.WriteSnapshot(&Snapshot{ID: "job-000001", Spec: "tiny", State: "done"}); err != nil {
 		t.Fatal(err)
 	}
+	seedJob(t, st, "job-000002")
 	st.Close()
 	bad := filepath.Join(dir, snapshotDirName, "job-000002.json")
 	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
@@ -310,6 +373,9 @@ func TestCorruptSnapshotIsWarning(t *testing.T) {
 	}
 	if len(state.Warnings) != 1 || !strings.Contains(state.Warnings[0], "job-000002") {
 		t.Fatalf("warnings = %v, want one naming job-000002", state.Warnings)
+	}
+	if len(state.Jobs) != 1 || state.Jobs[0].Meta.ID != "job-000002" || len(state.Jobs[0].Cells) != 2 {
+		t.Fatalf("jobs = %+v, want job-000002 in flight with its 2 cells", state.Jobs)
 	}
 }
 
@@ -335,12 +401,21 @@ func TestDeleteSnapshot(t *testing.T) {
 func TestClosedStoreRefusesAppends(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := open(t, dir)
+	if err := st.WriteSnapshot(&Snapshot{ID: "kept"}); err != nil {
+		t.Fatal(err)
+	}
 	st.Close()
 	if err := st.AppendJob(JobMeta{ID: "j", Spec: "s"}); err == nil {
 		t.Fatal("append after Close succeeded")
 	}
 	if err := st.WriteSnapshot(&Snapshot{ID: "j"}); err == nil {
 		t.Fatal("snapshot after Close succeeded")
+	}
+	if err := st.DeleteSnapshot("kept"); err == nil {
+		t.Fatal("snapshot delete after Close succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotDirName, "kept.json")); err != nil {
+		t.Fatalf("snapshot gone after a refused delete: %v", err)
 	}
 }
 
