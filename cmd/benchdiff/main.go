@@ -67,6 +67,9 @@ var pins = []pin{
 	{"internal/campaign", "^BenchmarkPoolEmptyCells$", 2000},
 	{"internal/mem", "^BenchmarkNewPool$", 3},
 	{"internal/store", "^BenchmarkReplayJournal$", 30},
+	// The cold half polls a status whose poll count, and so its
+	// allocs/op, varies with scheduling (EXPERIMENTS.md).
+	{"internal/serve", "^BenchmarkServeSubmit$/^cache_hit$", 10_000},
 }
 
 const (

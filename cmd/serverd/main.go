@@ -7,7 +7,7 @@
 //	serverd [-role standalone|coordinator|worker]
 //	        [-addr :8077] [-shards N] [-queue N] [-retain N]
 //	        [-retry-after D] [-manifest-dir DIR] [-seed N]
-//	        [-drain-timeout D] [-cache N] [-trace-cap N]
+//	        [-drain-timeout D] [-trace-cap N]
 //	        [-replay-max-bytes N] [-store-dir DIR]
 //	        [-lease-ttl D] [-lease-batch N]
 //	        [-coordinator URL] [-worker-name S] [-poll D] [-parallel N]
@@ -73,12 +73,11 @@ func main() {
 	addr := flag.String("addr", ":8077", "listen address (host:port; port 0 picks a free port)")
 	shards := flag.Int("shards", 2, "jobs executing concurrently")
 	queue := flag.Int("queue", 16, "admitted jobs waiting beyond the running ones; full queue returns 429")
-	retain := flag.Int("retain", 64, "terminal jobs kept for result retrieval before oldest-first eviction")
+	retain := flag.Int("retain", 64, "terminal jobs kept for result retrieval before oldest-first eviction; retained done jobs also answer repeat submissions")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	manifestDir := flag.String("manifest-dir", "", "write one obs manifest per finished job into this directory")
 	seed := flag.Int64("seed", 42, "default seed for jobs that do not specify one")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs before cancelling them")
-	cacheSize := flag.Int("cache", 64, "completed results cached per (spec, seed, scale) for instant resubmission; 0 disables")
 	traceCap := flag.Int("trace-cap", 0, "per-session event ring for the per-job trace endpoint (0 = default cap, negative disables capture)")
 	replayMax := flag.Int64("replay-max-bytes", 0, "POST /v1/replay body bound in bytes (0 = 4 MiB default)")
 	storeDir := flag.String("store-dir", "", "durable job store directory; empty keeps jobs in memory only (see OPERATIONS.md)")
@@ -105,9 +104,6 @@ func main() {
 		log.Fatalf("serverd: unknown -role %q (standalone, coordinator or worker)", *role)
 	}
 
-	if *cacheSize <= 0 {
-		*cacheSize = -1 // Config treats 0 as "default"; the flag's 0 means off
-	}
 	srv, err := serve.New(serve.Config{
 		Registry:       experiments.Registry,
 		Shards:         *shards,
@@ -116,7 +112,6 @@ func main() {
 		RetryAfter:     *retryAfter,
 		ManifestDir:    *manifestDir,
 		DefaultSeed:    *seed,
-		CacheSize:      *cacheSize,
 		TraceCap:       *traceCap,
 		MaxReplayBytes: *replayMax,
 		StoreDir:       *storeDir,

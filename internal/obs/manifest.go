@@ -34,14 +34,13 @@ type Manifest struct {
 }
 
 // NodeRecord is one worker node's contribution to a distributed run
-// (serve's coordinator mode): how many cells it completed across how
-// many leases. Placement is pure scheduling noise — the canonical
-// envelope is identical however cells land on nodes — so node records
-// live only here, in the as-executed manifest.
+// (serve's coordinator mode): how many cells it completed. Placement is
+// pure scheduling noise — the canonical envelope is identical however
+// cells land on nodes — so node records live only here, in the
+// as-executed manifest.
 type NodeRecord struct {
-	Name   string `json:"name"`
-	Leases int    `json:"leases,omitempty"`
-	Cells  int    `json:"cells,omitempty"`
+	Name  string `json:"name"`
+	Cells int    `json:"cells,omitempty"`
 }
 
 // RunRecord is one campaign execution within the run.

@@ -19,40 +19,7 @@ type cacheKey struct {
 	scale float64
 }
 
-// cacheEntry holds both result envelopes of a completed job.
-type cacheEntry struct {
-	canon, timed []byte
-}
-
-// resultCache is a bounded FIFO map of completed result envelopes,
-// guarded by the owning Server's mutex. Resubmitting a completed
-// (spec, seed, scale) yields a job that is born done, serving the
-// cached bytes without re-running the campaign.
-type resultCache struct {
-	cap   int
-	m     map[cacheKey]cacheEntry
-	order []cacheKey // insertion order, for eviction
-}
-
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, m: map[cacheKey]cacheEntry{}}
-}
-
-func (c *resultCache) get(k cacheKey) (cacheEntry, bool) {
-	e, ok := c.m[k]
-	return e, ok
-}
-
-func (c *resultCache) put(k cacheKey, e cacheEntry) {
-	if _, exists := c.m[k]; exists {
-		c.m[k] = e
-		return
-	}
-	c.m[k] = e
-	c.order = append(c.order, k)
-	for len(c.order) > c.cap {
-		evict := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, evict)
-	}
+// cacheKey returns the job's result-cache key.
+func (j *Job) cacheKey() cacheKey {
+	return cacheKey{spec: j.SpecName, seed: j.Seed, scale: j.Scale}
 }

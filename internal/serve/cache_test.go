@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -54,22 +57,13 @@ func TestCacheHitServesIdenticalBytesInstantly(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledAndInlineBypass pins the two opt-outs: CacheSize<0
-// disables caching entirely, and inline specs never hit the cache even
-// when it is on.
-func TestCacheDisabledAndInlineBypass(t *testing.T) {
-	_, ts := newTestServer(t, Config{Registry: tinyRegistry(), CacheSize: -1})
-	for i := 0; i < 2; i++ {
-		id := submit(t, ts, `{"spec":"tiny","seed":7}`)
-		if st := waitTerminal(t, ts, id); st.Cached {
-			t.Fatal("cache hit with caching disabled")
-		}
-	}
-
+// TestInlineBypassesCache pins the cache's opt-out: inline specs never
+// hit it, whatever has completed before.
+func TestInlineBypassesCache(t *testing.T) {
 	if testing.Short() {
-		return // the inline jobs below hammer a real session
+		t.Skip("inline jobs hammer a real session")
 	}
-	_, ts2 := newTestServer(t, Config{Registry: tinyRegistry()})
+	_, ts := newTestServer(t, Config{Registry: tinyRegistry()})
 	inline := `{"inline":{"name":"adhoc","cells":[
 		{"key":"x","arch":"Raptor Lake","dimm":"S3",
 		 "config":{"instr":"prefetcht2","banks":4,"barrier":"nop","nops":21,"obfuscate":true},
@@ -78,73 +72,126 @@ func TestCacheDisabledAndInlineBypass(t *testing.T) {
 	ids := []string{}
 	for i := 0; i < 2; i++ {
 		var acc jobAccepted
-		code, _ := doJSON(t, "POST", ts2.URL+"/v1/jobs", inline, &acc)
+		code, _ := doJSON(t, "POST", ts.URL+"/v1/jobs", inline, &acc)
 		if code != http.StatusAccepted {
 			t.Fatalf("inline POST = %d", code)
 		}
 		ids = append(ids, acc.ID)
 	}
 	for _, id := range ids {
-		if st := waitTerminal(t, ts2, id); st.Cached {
+		if st := waitTerminal(t, ts, id); st.Cached {
 			t.Error("inline spec wrongly served from cache")
 		}
 	}
 }
 
-// TestResultCacheEvictionOrder pins the eviction *order*, not just the
-// bound: FIFO by first insertion, overwrites keep the original slot
-// (and age), and a re-inserted key after eviction goes to the back of
-// the line.
+// TestResultCacheEvictionOrder pins the cache's eviction order, which
+// is retention's: FIFO by finish time, bounded by Retain, and a key
+// that re-runs after its eviction joins the back of the line.
 func TestResultCacheEvictionOrder(t *testing.T) {
 	cases := []struct {
 		name    string
-		cap     int
-		puts    []string // keys inserted in order (repeats overwrite or re-insert)
-		present []string
-		absent  []string
+		retain  int
+		seeds   []int64 // tiny jobs run in order (a retained seed is a hit)
+		present []int64
+		absent  []int64
 	}{
 		{
-			name: "capacity one holds only the newest",
-			cap:  1, puts: []string{"a", "b"},
-			present: []string{"b"}, absent: []string{"a"},
+			name:   "capacity one holds only the newest",
+			retain: 1, seeds: []int64{1, 2},
+			present: []int64{2}, absent: []int64{1},
 		},
 		{
-			name: "fifo evicts the first insertion",
-			cap:  2, puts: []string{"a", "b", "c"},
-			present: []string{"b", "c"}, absent: []string{"a"},
+			name:   "fifo evicts the first insertion",
+			retain: 2, seeds: []int64{1, 2, 3},
+			present: []int64{2, 3}, absent: []int64{1},
 		},
 		{
-			name: "re-insert after evict joins the back of the line",
-			cap:  2, puts: []string{"a", "b", "c", "a"}, // c evicts a; a re-enters, evicting b
-			present: []string{"c", "a"}, absent: []string{"b"},
-		},
-		{
-			name: "overwrite keeps the original slot and age",
-			cap:  2, puts: []string{"a", "b", "a", "c"}, // overwrite of a is not a new slot; c still evicts a
-			present: []string{"b", "c"}, absent: []string{"a"},
+			name:   "re-insert after evict joins the back of the line",
+			retain: 2, seeds: []int64{1, 2, 3, 1}, // 3 evicts 1; 1 re-runs, evicting 2
+			present: []int64{3, 1}, absent: []int64{2},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newResultCache(tc.cap)
-			for i, k := range tc.puts {
-				c.put(cacheKey{spec: k}, cacheEntry{canon: []byte{byte(i)}})
+			s, ts := newTestServer(t, Config{Registry: tinyRegistry(), Retain: tc.retain})
+			for _, seed := range tc.seeds {
+				waitTerminal(t, ts, submit(t, ts, fmt.Sprintf(`{"spec":"tiny","seed":%d}`, seed)))
 			}
-			if len(c.m) > tc.cap || len(c.order) > tc.cap {
-				t.Fatalf("cache exceeded its bound: %d entries, %d order slots, cap %d",
-					len(c.m), len(c.order), tc.cap)
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if len(s.results) > tc.retain {
+				t.Fatalf("cache exceeded its bound: %d entries, retain %d", len(s.results), tc.retain)
 			}
-			for _, k := range tc.present {
-				if _, ok := c.get(cacheKey{spec: k}); !ok {
-					t.Errorf("key %q wrongly evicted", k)
+			for _, seed := range tc.present {
+				if s.results[cacheKey{spec: "tiny", seed: seed, scale: 1}] == nil {
+					t.Errorf("seed %d wrongly evicted", seed)
 				}
 			}
-			for _, k := range tc.absent {
-				if _, ok := c.get(cacheKey{spec: k}); ok {
-					t.Errorf("key %q should have been evicted", k)
+			for _, seed := range tc.absent {
+				if s.results[cacheKey{spec: "tiny", seed: seed, scale: 1}] != nil {
+					t.Errorf("seed %d should have been evicted", seed)
 				}
 			}
 		})
+	}
+}
+
+// TestResultCacheEviction pins the retention window as the cache's
+// bound. A resubmission hits while a done job with its key is retained;
+// a hit is itself such a job, so a key that keeps being resubmitted
+// stays answerable after the original's eviction; once every one is
+// evicted, the key re-runs. On a durable server a hit is committed by
+// its snapshot alone and appends no journal line.
+func TestResultCacheEviction(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Registry: tinyRegistry(), Retain: 2, StoreDir: dir})
+	const body = `{"spec":"tiny","seed":7}`
+	run := func(body string) jobStatus {
+		t.Helper()
+		st := waitTerminal(t, ts, submit(t, ts, body))
+		if st.State != StateDone {
+			t.Fatalf("job %s = %s (%s), want done", st.ID, st.State, st.Error)
+		}
+		return st
+	}
+	journal := func() []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	orig := run(body)
+	if orig.Cached {
+		t.Fatal("first run served from cache")
+	}
+	before := journal()
+	if hit := run(body); !hit.Cached {
+		t.Fatal("resubmission while the original is retained re-ran")
+	} else if _, err := os.Stat(filepath.Join(dir, "snapshots", hit.ID+".json")); err != nil {
+		t.Errorf("cache hit has no snapshot: %v", err)
+	}
+	if after := journal(); !bytes.Equal(after, before) {
+		t.Errorf("cache hit appended to the journal: %q", after[len(before):])
+	}
+
+	// A new job evicts the original; the retained hit answers the key.
+	run(`{"spec":"tiny","seed":8}`)
+	if code, _ := fetch(t, ts.URL+"/v1/jobs/"+orig.ID); code != http.StatusNotFound {
+		t.Fatalf("original after eviction = %d, want 404", code)
+	}
+	if st := run(body); !st.Cached {
+		t.Error("resubmission re-ran although a cache hit with its key is retained")
+	}
+
+	// Two more jobs evict every done job with the key: it re-runs.
+	run(`{"spec":"tiny","seed":9}`)
+	run(`{"spec":"tiny","seed":10}`)
+	if st := run(body); st.Cached {
+		t.Error("resubmission served from cache after every job with its key was evicted")
 	}
 }
 
@@ -191,26 +238,6 @@ func TestConcurrentCacheHits(t *testing.T) {
 		}
 		if _, manifest := fetch(t, ts.URL+"/v1/jobs/"+id+"/manifest"); !bytes.Contains(manifest, []byte(`"cached"`)) {
 			t.Errorf("hit %d: manifest does not record the cache hit", i)
-		}
-	}
-}
-
-// TestResultCacheEviction pins the FIFO bound.
-func TestResultCacheEviction(t *testing.T) {
-	c := newResultCache(2)
-	c.put(cacheKey{spec: "a"}, cacheEntry{canon: []byte("a")})
-	c.put(cacheKey{spec: "b"}, cacheEntry{canon: []byte("b")})
-	c.put(cacheKey{spec: "a"}, cacheEntry{canon: []byte("a2")}) // overwrite, no new slot
-	if e, ok := c.get(cacheKey{spec: "a"}); !ok || string(e.canon) != "a2" {
-		t.Fatalf("overwrite lost: %v %q", ok, e.canon)
-	}
-	c.put(cacheKey{spec: "c"}, cacheEntry{canon: []byte("c")})
-	if _, ok := c.get(cacheKey{spec: "a"}); ok {
-		t.Error("oldest entry not evicted")
-	}
-	for _, k := range []string{"b", "c"} {
-		if _, ok := c.get(cacheKey{spec: k}); !ok {
-			t.Errorf("entry %q wrongly evicted", k)
 		}
 	}
 }

@@ -47,19 +47,19 @@ type Job struct {
 	canceled bool // cancellation requested (DELETE observed)
 	cancel   context.CancelFunc
 
-	// cacheable marks jobs whose completed envelopes may enter the
-	// result cache (registered specs; inline specs have no stable
-	// identity). cached marks jobs that were served from it — born done,
-	// never queued.
+	// cacheable marks jobs that, once done and while retained, answer
+	// resubmissions of their key from the result cache (registered
+	// specs and replays; inline specs have no stable identity). cached
+	// marks jobs that were served from it — born done, never queued.
 	cacheable bool
 	cached    bool
 	// distributable marks jobs a coordinator may lease to worker nodes:
 	// registered specs only, since a worker rebuilds the spec from
 	// (name, seed, scale) against its own registry.
 	distributable bool
-	// persisted marks jobs journaled to the durable store (registered
+	// persisted marks jobs committed to the durable store (registered
 	// specs on a server configured with StoreDir): every commit point —
-	// admission, each completed cell, the terminal transition — is
+	// admission, each completed cell, the terminal snapshot — is
 	// fsynced before it is acknowledged, so a restart resumes the job.
 	// recovered marks jobs reloaded from the store by a restarted
 	// server rather than submitted over HTTP in this process's
@@ -69,8 +69,8 @@ type Job struct {
 	// journaled marks persisted jobs whose job record is in the store's
 	// current journal: admitted or resumed since the store was opened.
 	// Evicting one journals a done record before its snapshot goes; a
-	// snapshot-recovered job's records were compacted away, so its
-	// eviction only deletes the snapshot.
+	// snapshot-recovered job's records were compacted away and a cache
+	// hit never had any, so their eviction only deletes the snapshot.
 	journaled bool
 
 	created  time.Time
@@ -79,8 +79,8 @@ type Job struct {
 
 	spec campaign.Spec
 	// cellsTotal overrides len(spec.Cells) in the status body for
-	// snapshot-recovered jobs whose spec was not rebuilt (the registry
-	// no longer carries it); 0 defers to the spec.
+	// snapshot-recovered jobs, whose spec is not rebuilt; 0 defers to
+	// the spec.
 	cellsTotal int
 	cellsDone  int
 	// results, cellStats and cellNodes are index-aligned with

@@ -91,11 +91,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	spec := entry.Build(campaign.Params{Seed: 7, Scale: 1})
 	seen := map[string]bool{}
 	for lease := 0; lease < 2; lease++ {
-		var grant leaseGrant
-		code, _ = doJSON(t, "POST", ts.URL+"/v1/leases", `{"worker":"`+wr.ID+`"}`, &grant)
-		if code != http.StatusCreated {
-			t.Fatalf("lease %d = %d, want 201", lease, code)
-		}
+		grant := acquireLease(t, ts, wr.ID)
 		if grant.JobID != id || grant.Spec != "tiny" || grant.Seed != 7 || grant.Scale != 1 {
 			t.Fatalf("grant = %+v", grant)
 		}
@@ -197,10 +193,9 @@ func TestLeaseReclaimFaultInjection(t *testing.T) {
 	var dead registerResponse
 	doJSON(t, "POST", ts.URL+"/v1/workers", `{"name":"doomed"}`, &dead)
 	id := submit(t, ts, `{"spec":"tiny","seed":7}`)
-	var grant leaseGrant
-	code, _ := doJSON(t, "POST", ts.URL+"/v1/leases", `{"worker":"`+dead.ID+`"}`, &grant)
-	if code != http.StatusCreated || len(grant.Cells) != 2 {
-		t.Fatalf("doomed lease = %d %+v", code, grant)
+	grant := acquireLease(t, ts, dead.ID)
+	if len(grant.Cells) != 2 {
+		t.Fatalf("doomed lease = %+v, want 2 cells", grant)
 	}
 
 	// A healthy worker joins; after the TTL passes, the dead worker's

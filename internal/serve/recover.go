@@ -16,10 +16,12 @@ import (
 // are journaled from the pool's OnCell hook, which carries the
 // result; leased cells reuse the wire gob bytes the worker posted)
 // are journal records; the terminal transition is the atomic snapshot
-// alone (persistTerminalLocked), so a crash before its rename recovers
-// the job as in-flight with its journaled cells, converging to the
-// same terminal state. Retention eviction (evictOldestLocked) journals
-// a done record and then deletes the snapshot.
+// alone (persistTerminalLocked, called by terminateLocked the moment
+// the job ends), so a crash before its rename recovers the job as
+// in-flight with its journaled cells, converging to the same terminal
+// state. A cache hit, born done, is never journaled: its snapshot is
+// its only record. Retention eviction (evictOldestLocked) journals a
+// done record for a journaled job and then deletes the snapshot.
 // recoverState is the other half: New replays the store into servable
 // terminal jobs and re-queued in-flight jobs before the shard pool
 // starts.
@@ -52,7 +54,7 @@ func Metrics() []string {
 }
 
 // recoverState folds everything Open recovered from the store into the
-// server: snapshots become servable terminal jobs (warming the result
+// server: snapshots become the retention window (and so the result
 // cache), in-flight journal jobs are rebuilt against the registry and
 // re-queued with their completed cells prefilled. Runs before the
 // shard pool starts, so nothing races admission.
@@ -63,27 +65,21 @@ func (s *Server) recoverState(state *store.State) {
 		log.Printf("serve: store recovery: %s", warn)
 	}
 
+	// Snapshots arrive in finish order. Every persisted job ran a
+	// registered spec, so each is cacheable without rebuilding it; a
+	// resubmission of a spec this registry lacks is refused before the
+	// cache is consulted.
 	for _, snap := range state.Snapshots {
 		s.bumpSeqLocked(snap.ID)
-		j := &Job{
+		s.retainLocked(&Job{
 			ID: snap.ID, SpecName: snap.Spec, Seed: snap.Seed, Scale: snap.Scale,
 			Parallel: snap.Parallel,
 			state:    State(snap.State), err: snap.Error,
-			persisted: true, recovered: true,
+			cacheable: true, persisted: true, recovered: true,
 			created: snap.Created, started: snap.Started, finished: snap.Finished,
 			cellsTotal: snap.CellsTotal, cellsDone: snap.CellsDone,
 			result: snap.Canonical, resultTimed: snap.Timed, manifest: snap.Manifest,
-		}
-		if entry, ok := s.cfg.Registry.Lookup(snap.Spec); ok {
-			j.spec = entry.Build(campaign.Params{Seed: snap.Seed, Scale: snap.Scale})
-			j.cacheable = true
-		}
-		s.jobs[j.ID] = j
-		s.done = append(s.done, j.ID)
-		if s.cache != nil && j.cacheable && j.state == StateDone && len(j.result) > 0 {
-			s.cache.put(cacheKey{spec: j.SpecName, seed: j.Seed, scale: j.Scale},
-				cacheEntry{canon: j.result, timed: j.resultTimed})
-		}
+		})
 	}
 	for len(s.done) > s.cfg.Retain {
 		s.evictOldestLocked()
@@ -105,11 +101,8 @@ func (s *Server) recoverState(state *store.State) {
 				created:   sj.Meta.Created,
 				cellsDone: len(sj.Cells),
 			}
-			s.jobs[j.ID] = j
-			s.finishLocked(j, StateFailed,
-				fmt.Sprintf("recovered job names spec %q, absent from this server's registry", sj.Meta.Spec))
-			s.attachManifestLocked(j, nil)
-			s.persistTerminalLocked(j)
+			s.terminateLocked(j, StateFailed,
+				fmt.Sprintf("recovered job names spec %q, absent from this server's registry", sj.Meta.Spec), nil)
 			continue
 		}
 		spec := entry.Build(campaign.Params{Seed: sj.Meta.Seed, Scale: sj.Meta.Scale})
@@ -224,9 +217,12 @@ func (s *Server) persistCell(jobID string, index int, node string, stat campaign
 // persistTerminalLocked snapshots a terminal persisted job. The
 // snapshot's rename is the job's terminal commit point: a crash before
 // it recovers the job as in-flight with every journaled cell, which
-// converges to the same terminal state on resume. Caller holds s.mu.
+// converges to the same terminal state on resume. A job the journal
+// does not carry (a cache hit) has no other record, so a failed write
+// demotes it to non-persisted, as a failed admission append does.
+// Caller holds s.mu.
 func (s *Server) persistTerminalLocked(j *Job) {
-	if s.store == nil || !j.persisted || !j.state.terminal() {
+	if s.store == nil || !j.persisted {
 		return
 	}
 	snap := &store.Snapshot{
@@ -237,6 +233,11 @@ func (s *Server) persistTerminalLocked(j *Job) {
 		Canonical: j.result, Timed: j.resultTimed, Manifest: j.manifest,
 	}
 	if err := s.store.WriteSnapshot(snap); err != nil {
+		if !j.journaled {
+			j.persisted = false
+			log.Printf("serve: job %s will not survive a restart: %v", j.ID, err)
+			return
+		}
 		log.Printf("serve: job %s snapshot not written: %v", j.ID, err)
 	}
 }
@@ -251,7 +252,12 @@ func (s *Server) evictOldestLocked() {
 	s.done = s.done[1:]
 	j := s.jobs[id]
 	delete(s.jobs, id)
-	if s.store == nil || j == nil || !j.persisted {
+	// Retention is FIFO by finish time, so no older job with this key is
+	// still retained once the newest is evicted.
+	if k := j.cacheKey(); s.results[k] == j {
+		delete(s.results, k)
+	}
+	if s.store == nil || !j.persisted {
 		return
 	}
 	if j.journaled {

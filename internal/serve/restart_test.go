@@ -131,7 +131,7 @@ func TestRestartRecoveryDeterminism(t *testing.T) {
 	ts2.Close()
 
 	// Incarnation 3: the terminal job is served from its snapshot, and
-	// its envelope has re-warmed the result cache.
+	// as a retained done job it answers a resubmission from the cache.
 	_, ts3 := newTestServer(t, cfg)
 	code, _ = doJSON(t, "GET", ts3.URL+"/v1/jobs/"+id, "", &st)
 	if code != http.StatusOK || st.State != StateDone || !st.Recovered || st.CellsDone != 4 {
@@ -381,6 +381,96 @@ func TestEvictRecoveredSnapshotReopens(t *testing.T) {
 	if len(state.Jobs) != 0 || len(state.Warnings) != 0 || len(state.Snapshots) != 1 || state.Snapshots[0].ID != fresh {
 		t.Fatalf("reopened store = jobs %d, warnings %v, snapshots %d; want only %s's snapshot",
 			len(state.Jobs), state.Warnings, len(state.Snapshots), fresh)
+	}
+}
+
+// cancelQueued DELETEs a queued job and requires the 202 to report it
+// canceled.
+func cancelQueued(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	var st jobStatus
+	if code, _ := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+id, "", &st); code != http.StatusAccepted || st.State != StateCanceled {
+		t.Fatalf("DELETE queued job %s = %d state %s, want 202 canceled", id, code, st.State)
+	}
+}
+
+// TestQueuedCancelSurvivesCrash: a 202 for the DELETE of a queued job
+// is an acknowledged transition, so it must survive a crash that comes
+// before any shard pops the job. The restarted server must serve the
+// job as canceled, not resume it.
+func TestQueuedCancelSurvivesCrash(t *testing.T) {
+	gate := make(chan struct{})
+	defer func() {
+		select {
+		case <-gate:
+		default:
+			close(gate)
+		}
+	}()
+	cfg := Config{Registry: blockingRegistry(gate), Shards: 1, QueueDepth: 2, StoreDir: t.TempDir()}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	submit(t, ts1, `{"spec":"block","seed":1}`)
+	waitRunning(t, s1, 1)
+	b := submit(t, ts1, `{"spec":"block","seed":2}`)
+	cancelQueued(t, ts1, b)
+
+	crashWhileBlocked(t, s1, ts1, gate)
+
+	_, ts2 := newTestServer(t, cfg) // the gate is open now
+	if st := waitTerminal(t, ts2, b); st.State != StateCanceled {
+		t.Fatalf("acknowledged cancel lost across crash: job %s is %s after restart", b, st.State)
+	}
+}
+
+// TestEvictedCancelLeavesNoSnapshot: a queued job cancelled by DELETE
+// and then evicted by retention must leave nothing in the store; the
+// shard that later pops it must not write it back.
+func TestEvictedCancelLeavesNoSnapshot(t *testing.T) {
+	gate := make(chan struct{})
+	defer func() {
+		select {
+		case <-gate:
+		default:
+			close(gate)
+		}
+	}()
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Registry: blockingRegistry(gate), Retain: 1, Shards: 1, QueueDepth: 3, StoreDir: dir})
+	a := submit(t, ts, `{"spec":"block","seed":1}`)
+	waitRunning(t, s, 1)
+	b := submit(t, ts, `{"spec":"block","seed":2}`)
+	c := submit(t, ts, `{"spec":"block","seed":3}`)
+	cancelQueued(t, ts, b)
+	cancelQueued(t, ts, c)
+	close(gate)
+	if st := waitTerminal(t, ts, a); st.State != StateDone {
+		t.Fatalf("job %s = %s, want done", a, st.State)
+	}
+	for _, id := range []string{b, c} {
+		if code, _ := fetch(t, ts.URL+"/v1/jobs/"+id); code != http.StatusNotFound {
+			t.Errorf("evicted job %s = %d, want 404", id, code)
+		}
+	}
+	// Drain returns once the shard has popped b and c.
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	_, state, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []string
+	for _, snap := range state.Snapshots {
+		snaps = append(snaps, snap.ID)
+	}
+	if len(snaps) != 1 || snaps[0] != a || len(state.Jobs) != 0 || len(state.Warnings) != 0 {
+		t.Fatalf("store after eviction = snapshots %v, in-flight jobs %d, warnings %v; want only %s's snapshot",
+			snaps, len(state.Jobs), state.Warnings, a)
 	}
 }
 

@@ -23,9 +23,9 @@
 // DELETE cancels a job (queued jobs never start; running jobs stop
 // dispatching cells at the next boundary), Drain stops admission and
 // waits for everything admitted to finish (SIGTERM in serverd), and
-// completed jobs are retained up to a bound, oldest-evicted-first.
-// Every finished job carries an obs run manifest recording exactly
-// what executed.
+// completed jobs are retained up to a bound, oldest-evicted-first; the
+// retained done jobs double as the result cache. Every finished job
+// carries an obs run manifest recording exactly what executed.
 package serve
 
 import (
@@ -74,7 +74,12 @@ type Config struct {
 	// Default 16.
 	QueueDepth int
 	// Retain is how many terminal jobs are kept for result retrieval;
-	// beyond it the oldest-finished job is evicted. Default 64.
+	// beyond it the oldest-finished job is evicted. The retained done
+	// jobs are also the result cache: resubmitting a registered spec at
+	// a (seed, scale) one of them ran yields a job born done with its
+	// envelopes, without re-running the campaign (results are
+	// deterministic, so the bytes are identical). Inline specs bypass
+	// the cache. Default 64.
 	Retain int
 	// RetryAfter is the hint returned in the Retry-After header with
 	// 429 responses. Default 1s.
@@ -86,13 +91,6 @@ type Config struct {
 	// DefaultSeed seeds jobs that do not specify one. Default 42,
 	// matching cmd/experiments.
 	DefaultSeed int64
-	// CacheSize bounds the completed-result cache: resubmitting a
-	// registered spec at a (seed, scale) that already completed yields a
-	// job born done, serving the cached envelopes without re-running the
-	// campaign (results are deterministic, so the bytes are identical).
-	// Default 64; negative disables caching. Inline specs bypass the
-	// cache entirely.
-	CacheSize int
 	// TraceCap bounds each per-session obs trace ring recorded for a
 	// running job (served at GET /v1/jobs/{id}/trace). 0 means
 	// obs.DefaultTraceCap; negative disables per-job trace capture.
@@ -137,9 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultSeed == 0 {
 		c.DefaultSeed = 42
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 64
-	}
 	if c.MaxReplayBytes == 0 {
 		c.MaxReplayBytes = 4 << 20
 	}
@@ -164,7 +159,9 @@ type Server struct {
 	seq      int
 	draining bool
 	queue    chan *Job
-	cache    *resultCache // nil when caching is disabled
+	// results is the result cache: the newest retained done job of each
+	// cacheable (spec, seed, scale).
+	results map[cacheKey]*Job
 
 	// pool is the shared cell scheduler for jobs without an explicit
 	// parallel value.
@@ -241,15 +238,13 @@ func New(cfg Config) (*Server, error) {
 		extra = len(recovered.Jobs)
 	}
 	s := &Server{
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		jobs:  map[string]*Job{},
-		queue: make(chan *Job, cfg.QueueDepth+extra),
-		store: st,
-		pool:  campaign.NewPool(cfg.Shards * runtime.GOMAXPROCS(0)),
-	}
-	if cfg.CacheSize > 0 {
-		s.cache = newResultCache(cfg.CacheSize)
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		jobs:    map[string]*Job{},
+		queue:   make(chan *Job, cfg.QueueDepth+extra),
+		results: map[cacheKey]*Job{},
+		store:   st,
+		pool:    campaign.NewPool(cfg.Shards * runtime.GOMAXPROCS(0)),
 	}
 	handlers := map[string]http.HandlerFunc{
 		"POST /v1/jobs":              s.handleSubmit,
@@ -347,11 +342,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		s.mu.Lock()
 		for _, j := range s.jobs {
-			if !j.state.terminal() {
+			switch j.state {
+			case StateQueued:
+				// As after a DELETE, the shard that pops it skips it.
+				s.terminateLocked(j, StateCanceled, "canceled before start", nil)
+			case StateRunning:
 				j.canceled = true
-				if j.cancel != nil {
-					j.cancel()
-				}
+				j.cancel()
 			}
 		}
 		s.mu.Unlock()
@@ -395,11 +392,8 @@ func (s *Server) shard() {
 func (s *Server) runJob(j *Job) {
 	s.mu.Lock()
 	s.queued.Add(-1)
-	if j.canceled || j.state.terminal() {
-		// Cancelled while queued: it never starts.
-		s.finishLocked(j, StateCanceled, "canceled before start")
-		s.attachManifestLocked(j, nil)
-		s.persistTerminalLocked(j)
+	if j.state.terminal() {
+		// Cancelled while queued, and committed then: it never starts.
 		s.mu.Unlock()
 		return
 	}
@@ -456,11 +450,12 @@ func (s *Server) runJob(j *Job) {
 			}
 		}
 	}
+	state, errText := StateDone, ""
 	switch {
 	case j.canceled:
-		s.finishLocked(j, StateCanceled, "canceled")
+		state, errText = StateCanceled, "canceled"
 	case err != nil:
-		s.finishLocked(j, StateFailed, err.Error())
+		state, errText = StateFailed, err.Error()
 	default:
 		cfg := experiments.Config{Seed: j.Seed, Scale: j.Scale, Workers: j.Parallel}
 		var canon, timed bytes.Buffer
@@ -469,19 +464,13 @@ func (s *Server) runJob(j *Job) {
 			encErr = experiments.WriteOutcomeJSON(&timed, j.SpecName, cfg, out.Result, out)
 		}
 		if encErr != nil {
-			s.finishLocked(j, StateFailed, encErr.Error())
+			state, errText = StateFailed, encErr.Error()
 			break
 		}
 		j.result = canon.Bytes()
 		j.resultTimed = timed.Bytes()
-		s.finishLocked(j, StateDone, "")
-		if s.cache != nil && j.cacheable {
-			s.cache.put(cacheKey{spec: j.SpecName, seed: j.Seed, scale: j.Scale},
-				cacheEntry{canon: j.result, timed: j.resultTimed})
-		}
 	}
-	s.attachManifestLocked(j, out)
-	s.persistTerminalLocked(j)
+	s.terminateLocked(j, state, errText, out)
 }
 
 // runLocal executes the missing cells in this process: on the shared
@@ -530,12 +519,13 @@ func (s *Server) runLocal(ctx context.Context, j *Job, missing []int) (int, erro
 	return out.Workers, nil
 }
 
-// finishLocked moves a job to a terminal state, updates counters and
-// evicts beyond the retention bound. Caller holds s.mu.
-func (s *Server) finishLocked(j *Job, st State, errText string) {
-	if j.state.terminal() {
-		return
-	}
+// terminateLocked is the one way a job ends: it moves j to a terminal
+// state, attaches its manifest (out is nil for a job that never ran),
+// snapshots it when persisted, and retains it — a done cacheable job
+// becomes its key's cache entry — evicting beyond the retention bound.
+// Every job reaches it exactly once, at the moment it ends. Caller
+// holds s.mu.
+func (s *Server) terminateLocked(j *Job, st State, errText string, out *campaign.Outcome) {
 	j.state = st
 	j.err = errText
 	j.finished = time.Now()
@@ -548,19 +538,29 @@ func (s *Server) finishLocked(j *Job, st State, errText string) {
 	case StateCanceled:
 		jobsCanceled.Inc()
 	}
-	s.done = append(s.done, j.ID)
+	s.attachManifestLocked(j, out)
+	s.persistTerminalLocked(j)
+	s.retainLocked(j)
 	for len(s.done) > s.cfg.Retain {
 		s.evictOldestLocked()
 	}
 	s.recomputeOldestLocked()
 }
 
+// retainLocked appends a terminal job to the retention window; a done
+// cacheable job becomes the newest cache entry for its key. Caller
+// holds s.mu.
+func (s *Server) retainLocked(j *Job) {
+	s.jobs[j.ID] = j
+	s.done = append(s.done, j.ID)
+	if j.state == StateDone && j.cacheable {
+		s.results[j.cacheKey()] = j
+	}
+}
+
 // attachManifestLocked records the job's obs manifest (and writes it to
 // ManifestDir when configured). Caller holds s.mu.
 func (s *Server) attachManifestLocked(j *Job, out *campaign.Outcome) {
-	if j.manifest != nil {
-		return
-	}
 	labels := []string{"job", j.ID, "spec", j.SpecName}
 	if j.cached {
 		labels = append(labels, "cached", "true")
@@ -699,9 +699,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // admit runs the shared admission tail for a fully built job — the
 // same machinery whether the job came from POST /v1/jobs or
-// POST /v1/replay: drain check, result-cache lookup (a hit is born
-// done without consuming queue or shard capacity), then queue
-// admission with 429 backpressure.
+// POST /v1/replay: drain check, result-cache lookup (a hit on a
+// retained done job is born done without consuming queue or shard
+// capacity), then queue admission with 429 backpressure.
 func (s *Server) admit(w http.ResponseWriter, j *Job) {
 	s.mu.Lock()
 	if s.draining {
@@ -709,22 +709,19 @@ func (s *Server) admit(w http.ResponseWriter, j *Job) {
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server is draining"})
 		return
 	}
-	if s.cache != nil && j.cacheable {
-		if e, ok := s.cache.get(cacheKey{spec: j.SpecName, seed: j.Seed, scale: j.Scale}); ok {
-			// Cache hit: the job is born done, serving the completed
-			// envelopes without consuming queue or shard capacity.
+	if j.cacheable {
+		if hit := s.results[j.cacheKey()]; hit != nil {
+			// Cache hit: the job is born done, serving the retained job's
+			// envelopes without consuming queue or shard capacity. Its
+			// snapshot, written before the 202, is its only record.
 			s.seq++
 			j.ID = fmt.Sprintf("job-%06d", s.seq)
-			s.jobs[j.ID] = j
 			j.cached = true
 			j.started = j.created
 			j.cellsDone = len(j.spec.Cells)
-			j.result = e.canon
-			j.resultTimed = e.timed
-			s.persistAdmitLocked(j)
-			s.finishLocked(j, StateDone, "")
-			s.attachManifestLocked(j, nil)
-			s.persistTerminalLocked(j)
+			j.result = hit.result
+			j.resultTimed = hit.resultTimed
+			s.terminateLocked(j, StateDone, "", nil)
 			s.mu.Unlock()
 			jobsAccepted.Inc()
 			cacheHits.Inc()
@@ -833,9 +830,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, apiError{Error: fmt.Sprintf("job already %s", st)})
 		return
 	case j.state == StateQueued:
-		// The queued entry is skipped when a shard pops it.
-		j.canceled = true
-		s.finishLocked(j, StateCanceled, "canceled before start")
+		// Committed now, so the 202 is durable; the shard that pops the
+		// queued entry skips it.
+		s.terminateLocked(j, StateCanceled, "canceled before start", nil)
 	default: // running
 		j.canceled = true
 		if j.cancel != nil {

@@ -167,10 +167,16 @@ func submit(t *testing.T, ts *httptest.Server, body string) string {
 }
 
 // waitTerminal polls a job until it leaves the queued/running states.
+// Its budget guards against a hang, not a slow host: it runs to the
+// test binary's deadline less a margin to report the job, or two
+// minutes when there is no deadline.
 func waitTerminal(t *testing.T, ts *httptest.Server, id string) jobStatus {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
+	deadline := time.Now().Add(2 * time.Minute)
+	if d, ok := t.Deadline(); ok {
+		deadline = d.Add(-10 * time.Second)
+	}
+	for {
 		var st jobStatus
 		code, _ := doJSON(t, "GET", ts.URL+"/v1/jobs/"+id, "", &st)
 		if code != http.StatusOK {
@@ -179,10 +185,50 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) jobStatus {
 		if st.State.terminal() {
 			return st
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s did not finish", id)
+		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("job %s did not finish", id)
-	return jobStatus{}
+}
+
+// waitRunning waits until the server's shards run n jobs.
+func waitRunning(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.running.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("running jobs = %d, want %d", s.running.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// crashWhileBlocked crashes s while a job blocks on gate. crash closes
+// the store before it starts draining, so once healthz reports
+// draining, nothing the blocked job computes after gate opens can
+// reach the store; the crash's drain then finishes.
+func crashWhileBlocked(t *testing.T, s *Server, ts *httptest.Server, gate chan struct{}) {
+	t.Helper()
+	crashed := make(chan struct{})
+	go func() {
+		s.crash()
+		close(crashed)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var h healthStatus
+		if code, _ := doJSON(t, "GET", ts.URL+"/healthz", "", &h); code == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("crashed server never reported draining")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	<-crashed
+	ts.Close()
 }
 
 // fetch returns a raw response body and status code.
@@ -284,16 +330,7 @@ func TestBackpressure429(t *testing.T) {
 
 	a := submit(t, ts, `{"spec":"block"}`)
 	// Wait for the shard to pop job A so B occupies the whole queue.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if srv.running.Load() == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job A never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRunning(t, srv, 1)
 	b := submit(t, ts, `{"spec":"block"}`)
 
 	var apiErr apiError
@@ -322,16 +359,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Registry: blockingRegistry(gate), Shards: 1, QueueDepth: 2})
 
 	a := submit(t, ts, `{"spec":"block"}`)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if srv.running.Load() == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job A never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRunning(t, srv, 1)
 	b := submit(t, ts, `{"spec":"block"}`)
 
 	var st jobStatus
@@ -457,27 +485,9 @@ func TestLocalCellsJournaledAcrossCrash(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// crash closes the store before it starts draining, so once healthz
-	// reports draining, the gated cells' results — computed after the
-	// gate opens — can no longer reach the journal.
-	crashed := make(chan struct{})
-	go func() {
-		s1.crash()
-		close(crashed)
-	}()
-	for {
-		var h healthStatus
-		if code, _ := doJSON(t, "GET", ts1.URL+"/healthz", "", &h); code == http.StatusServiceUnavailable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("crashed server never reported draining")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	<-crashed
-	ts1.Close()
+	// The gated cells' results, computed after the gate opens, can no
+	// longer reach the journal.
+	crashWhileBlocked(t, s1, ts1, gate)
 
 	var mu sync.Mutex
 	reran := map[string]int{}

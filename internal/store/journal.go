@@ -69,8 +69,8 @@ func (e *DecodeError) Error() string {
 // Records are idempotent under replay: a duplicated job record
 // re-applies the same metadata, a duplicated cell record overwrites the
 // same index with the same bytes, a duplicated done record re-marks the
-// same terminal state. Replaying a journal twice therefore yields the
-// same state as replaying it once.
+// same eviction. Replaying a journal twice therefore yields the same
+// state as replaying it once.
 
 type headerRecord struct {
 	Kind    string `json:"kind"`
@@ -97,6 +97,9 @@ type cellRecord struct {
 	Result []byte            `json:"result,omitempty"`
 }
 
+// doneRecord marks an eviction; replay reads only its presence. State
+// and Error are still written: older readers of the v1 format take a
+// non-empty state as the eviction mark.
 type doneRecord struct {
 	Kind  string `json:"kind"`
 	Job   string `json:"job"`
@@ -301,7 +304,7 @@ func (st *replayState) apply(line int, raw []byte) error {
 			return &DecodeError{Line: line, Kind: ErrUnknownJob,
 				Msg: fmt.Sprintf("done record for job %q the journal never introduced", r.Job)}
 		}
-		j.State, j.Error = r.State, r.Error
+		j.Evicted = true
 	}
 	return nil
 }

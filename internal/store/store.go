@@ -75,16 +75,12 @@ type CellResult struct {
 }
 
 // Job is one journaled job as replay reconstructs it: metadata, the
-// completed cells by index, and the terminal state its done record
-// names once retention evicted it.
+// completed cells by index, and whether a done record marks its
+// retention eviction.
 type Job struct {
-	Meta  JobMeta
-	Cells map[int]CellResult
-	// State is the terminal state from the done record, "" until the
-	// job is evicted.
-	State string
-	// Error is the terminal error string, "" on success.
-	Error string
+	Meta    JobMeta
+	Cells   map[int]CellResult
+	Evicted bool
 }
 
 // Snapshot is the durable form of one terminal job: enough to serve
@@ -175,7 +171,7 @@ func Open(dir string) (*Store, *State, error) {
 	// bytes.
 	var inflight []*Job
 	for _, id := range rs.order {
-		if j := rs.jobs[id]; !snapIDs[id] && j.State == "" {
+		if j := rs.jobs[id]; !snapIDs[id] && !j.Evicted {
 			inflight = append(inflight, j)
 		}
 	}

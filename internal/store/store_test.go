@@ -327,8 +327,8 @@ func TestReplayKindKeysDisagree(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := st.jobs["j"]
-	if want := map[int]CellResult{0: {}}; !reflect.DeepEqual(j.Cells, want) || j.State != "failed" {
-		t.Fatalf("job = cells %+v state %q, want cells %+v state \"failed\"", j.Cells, j.State, want)
+	if want := map[int]CellResult{0: {}}; !reflect.DeepEqual(j.Cells, want) || !j.Evicted {
+		t.Fatalf("job = cells %+v evicted %v, want cells %+v evicted", j.Cells, j.Evicted, want)
 	}
 
 	// Not the final line, which would be dropped as a torn tail.
