@@ -39,11 +39,12 @@ determinism:
 
 # doccheck keeps the documentation from rotting: every package must
 # carry a package doc comment, every relative link in the root
-# markdown documents must resolve, and API.md must document every
-# route the campaign server registers. (vet is listed so `make
-# doccheck` stands alone as the docs gate; verify already runs it.)
+# markdown documents must resolve, API.md must document every route
+# the campaign server registers, and `make fuzz` must run every native
+# fuzz target in the module. (vet is listed so `make doccheck` stands
+# alone as the docs gate; verify already runs it.)
 doccheck: vet
-	$(GO) test -run 'TestPackageDocComments|TestDocLinks|TestAPIDocCoversRoutes|TestOperationsDocCoversMetrics' .
+	$(GO) test -run 'TestPackageDocComments|TestDocLinks|TestAPIDocCoversRoutes|TestOperationsDocCoversMetrics|TestMakeFuzzRunsEveryFuzzTarget' .
 
 verify: build fmt vet test race determinism doccheck
 
@@ -51,10 +52,11 @@ verify: build fmt vet test race determinism doccheck
 # checked-in seed corpus: the differential oracle (random command
 # traces through fast and reference substrates), the dram sampler /
 # pTRR table policies against naive mirrors, the compiled hammer
-# payload against the interpreted engine, and the trace-replay codec
-# (arbitrary bytes must decode to typed errors or replayable files,
-# never panic). Override FUZZTIME for a longer soak, e.g.
-# `make fuzz FUZZTIME=5m`.
+# payload against the interpreted engine, the chain planner, and the
+# trace-replay codec (arbitrary bytes must decode to typed errors or
+# replayable files, never panic). TestMakeFuzzRunsEveryFuzzTarget
+# (make doccheck) fails when a fuzz target is missing here. Override
+# FUZZTIME for a longer soak, e.g. `make fuzz FUZZTIME=5m`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialTrace$$' -fuzztime $(FUZZTIME) ./internal/refmodel
 	$(GO) test -run '^$$' -fuzz '^FuzzTRRSampler$$' -fuzztime $(FUZZTIME) ./internal/dram

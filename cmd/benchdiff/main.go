@@ -63,6 +63,7 @@ var pins = []pin{
 	{".", "^BenchmarkActivate$", 20_000_000},
 	{".", "^BenchmarkMappingRecovery$", 3},
 	{"internal/dram", "^BenchmarkActivateBatch$", 200_000},
+	{"internal/memctrl", "^BenchmarkAccess$", 5_000_000},
 	{"internal/hammer", "^BenchmarkFreshPatternCell$", 6},
 	{"internal/campaign", "^BenchmarkPoolEmptyCells$", 2000},
 	{"internal/mem", "^BenchmarkNewPool$", 3},

@@ -3,9 +3,11 @@ package rhohammer
 import (
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,5 +139,66 @@ func TestDocLinks(t *testing.T) {
 				t.Errorf("%s: broken relative link %q", doc, m[1])
 			}
 		}
+	}
+}
+
+// fuzzTarget matches a native fuzz target's declaration.
+var fuzzTarget = regexp.MustCompile(`(?m)^func (Fuzz\w*)\(\w+ \*testing\.F\)`)
+
+// TestMakeFuzzRunsEveryFuzzTarget requires `make fuzz`, which CI's
+// fuzz job runs, to run every native fuzz target in the module: each
+// `func FuzzX(f *testing.F)` needs a recipe line with `-fuzz '^FuzzX$$'`
+// and its package, so a new or renamed target cannot drop out of CI.
+// perfbench is a separate module and is not searched.
+func TestMakeFuzzRunsEveryFuzzTarget(t *testing.T) {
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recipe []string
+	if _, body, ok := strings.Cut(string(data), "\nfuzz:\n"); ok {
+		for _, line := range strings.Split(body, "\n") {
+			if !strings.HasPrefix(line, "\t") {
+				break
+			}
+			recipe = append(recipe, line)
+		}
+	}
+	if len(recipe) == 0 {
+		t.Fatal("Makefile has no fuzz target recipe")
+	}
+
+	found := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (path == "perfbench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		pkg := "./" + filepath.ToSlash(filepath.Dir(path))
+		for _, m := range fuzzTarget.FindAllStringSubmatch(string(src), -1) {
+			found++
+			flag := "-fuzz '^" + m[1] + "$$'"
+			if !slices.ContainsFunc(recipe, func(line string) bool {
+				return strings.Contains(line, flag) && strings.HasSuffix(line, " "+pkg)
+			}) {
+				t.Errorf("%s: make fuzz does not run %s in %s", path, m[1], pkg)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Fatal("found no fuzz targets; the search is broken")
 	}
 }

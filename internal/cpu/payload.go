@@ -35,13 +35,12 @@ import (
 //     the device's event call order (ACT timestamps may legitimately
 //     exceed the CPU clock, so order — not time — is the contract).
 //
-// There is no fallback: every hammer run executes a payload. An armed
-// controller command trace receives the executor's PRE and ACT records
-// at the same decision points as the interpreted path (REFs are
-// recorded inside AdvanceRefresh); row-swap, pTRR, DDR5-RFM, obs
-// tracing and the simcheck shadow are handled inside
-// dram.ActivateBatch per entry. Run stays as the reference the
-// differential tests compare RunPayload against.
+// There is no fallback: every hammer run executes a payload. Row-swap,
+// pTRR, DDR5-RFM, the device's obs trace and the simcheck shadow are
+// handled inside dram.ActivateBatch per entry, so a device trace
+// records the executor's ACTs (and the REFs AdvanceRefresh issues)
+// exactly as it records the interpreted path's. Run stays as the
+// reference the differential tests compare RunPayload against.
 
 // slotKind enumerates the compiled schedule's operations.
 type slotKind uint8
@@ -299,7 +298,6 @@ func (e *Engine) RunPayload(pl *Payload, iterations int) Result {
 	onceDecode := pl.distinctSlots && !auditing
 	tCL, tRCD, tRP, tRC, tBus, tCtrl := hot.T.TCL, hot.T.TRCD, hot.T.TRP, hot.T.TRC, hot.T.TBus, hot.T.TCtrl
 	nextREF := ctrl.NextRefresh()
-	tracing := ctrl.Trace.Armed()
 	buf := e.actBuf[:0]
 	rnd := e.Rand
 	lines := e.lines
@@ -388,9 +386,6 @@ func (e *Engine) RunPayload(pl *Payload, iterations int) Result {
 						if tMin := bk.LastACT + tRC; actAt < tMin {
 							actAt = tMin
 						}
-						if tracing {
-							ctrl.Trace.Record(memctrl.Cmd{Kind: memctrl.CmdACT, Bank: int(pline.pd.Bank), Row: uint64(row), At: actAt})
-						}
 						buf = append(buf, dram.ActEntry{Ref: &pline.act, At: actAt})
 						if len(buf) == actBufSize {
 							dev.ActivateBatch(buf)
@@ -407,10 +402,6 @@ func (e *Engine) RunPayload(pl *Payload, iterations int) Result {
 						actAt := preAt + tRP
 						if tMin := bk.LastACT + tRC; actAt < tMin {
 							actAt = tMin
-						}
-						if tracing {
-							ctrl.Trace.Record(memctrl.Cmd{Kind: memctrl.CmdPRE, Bank: int(pline.pd.Bank), At: preAt})
-							ctrl.Trace.Record(memctrl.Cmd{Kind: memctrl.CmdACT, Bank: int(pline.pd.Bank), Row: uint64(row), At: actAt})
 						}
 						buf = append(buf, dram.ActEntry{Ref: &pline.act, At: actAt})
 						if len(buf) == actBufSize {

@@ -40,7 +40,7 @@ func ablationCSSpec(cfg Config) campaign.Spec {
 	}
 	var cells []campaign.Cell
 	for _, a := range []*arch.Arch{arch.AlderLake(), arch.RaptorLake()} {
-		nops := TunedNops(a)
+		nops := hammer.TunedNops(a)
 		for _, v := range []struct {
 			name string
 			hcfg hammer.Config
@@ -115,7 +115,7 @@ func ablationSamplerSpec(cfg Config) campaign.Spec {
 		d.TRRSamplerSize = size
 		cells = append(cells, campaign.Cell{
 			Key:  fmt.Sprintf("sampler-%d", size),
-			Arch: a, DIMM: d, Config: RhoS(a),
+			Arch: a, DIMM: d, Config: hammer.RecommendedSingleBank(a),
 			Pattern: pattern.KnownGood(), Budget: budget, Aux: size,
 		})
 	}

@@ -34,7 +34,7 @@ func e2eSpec(cfg Config) campaign.Spec {
 	for _, a := range []*arch.Arch{arch.AlderLake(), arch.RaptorLake()} {
 		cells = append(cells, campaign.Cell{
 			Key: a.Name, Arch: a, DIMM: DefaultDIMM(),
-			Config: RhoS(a),
+			Config: hammer.RecommendedSingleBank(a),
 			Budget: campaign.Budget{
 				Locations:  cfg.scaled(12, 6),
 				DurationNS: float64(cfg.scaled(150, 100)) * 1e6,

@@ -91,38 +91,11 @@ func newMeasurerFor(a *arch.Arch, d *arch.DIMM, seed int64) (*timing.Measurer, *
 	return timing.NewMeasurer(ctrl, r), mem.NewPool(truth.Size(), 0.7, r)
 }
 
-// TunedNops returns the tuned single-bank counter-speculation NOP count
-// for an architecture. The constants live in internal/hammer (the same
-// table Attack.RecommendedSingleBankConfig consumes);
-// TestTunedNopsNearOptimum verifies they track the tuning phase.
-func TunedNops(a *arch.Arch) int { return hammer.TunedNops(a) }
-
-// TunedNopsMulti is the equivalent optimum for multi-bank hammering:
-// bank interleaving already spreads each bank's accesses, so far fewer
-// NOPs are needed before the rate penalty dominates.
-func TunedNopsMulti(a *arch.Arch) int { return hammer.TunedNopsMulti(a) }
-
-// OptimalBanks is the multi-bank width fuzzing identifies as optimal
-// (Fig. 9 peaks at 3 banks on Comet Lake; the newer platforms behave
-// alike on this substrate).
-func OptimalBanks(a *arch.Arch) int { return hammer.OptimalBanks(a) }
-
-// RhoS returns the ρHammer single-bank configuration for an
-// architecture: prefetch hammering with counter-speculation.
-func RhoS(a *arch.Arch) hammer.Config { return hammer.RecommendedSingleBank(a) }
-
-// RhoM returns the ρHammer optimal multi-bank configuration.
-func RhoM(a *arch.Arch) hammer.Config { return hammer.Recommended(a) }
-
-// BaselineS returns the load-based single-bank baseline
-// (Blacksmith-style).
-func BaselineS() hammer.Config { return hammer.Baseline() }
-
-// BaselineM returns the load-based multi-bank baseline
+// baselineM returns the load-based multi-bank baseline
 // (SledgeHammer-style).
-func BaselineM(a *arch.Arch) hammer.Config {
+func baselineM(a *arch.Arch) hammer.Config {
 	c := hammer.Baseline()
-	c.Banks = OptimalBanks(a)
+	c.Banks = hammer.OptimalBanks(a)
 	return c
 }
 

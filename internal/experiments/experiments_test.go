@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rhohammer/internal/arch"
+	"rhohammer/internal/hammer"
 	"rhohammer/internal/pattern"
 )
 
@@ -266,10 +267,10 @@ func TestScaledConfig(t *testing.T) {
 func TestTunedNopsLadder(t *testing.T) {
 	archs := arch.All()
 	for i := 1; i < len(archs); i++ {
-		if TunedNops(archs[i]) <= TunedNops(archs[i-1]) {
+		if hammer.TunedNops(archs[i]) <= hammer.TunedNops(archs[i-1]) {
 			t.Errorf("tuned NOPs should grow with speculation depth: %s", archs[i].Name)
 		}
-		if TunedNopsMulti(archs[i]) >= TunedNops(archs[i]) {
+		if hammer.TunedNopsMulti(archs[i]) >= hammer.TunedNops(archs[i]) {
 			t.Errorf("%s: multi-bank optimum should be below single-bank", archs[i].Name)
 		}
 	}
@@ -283,7 +284,7 @@ func TestTunedNopsNearOptimum(t *testing.T) {
 	}
 	a := arch.RaptorLake()
 	s := newSession(a, DefaultDIMM(), 42)
-	base := RhoS(a)
+	base := hammer.RecommendedSingleBank(a)
 	base.Barrier = 0
 	base.Nops = 0
 	tune, err := s.TuneNops(pattern.KnownGood(), base, 600, 50, 120e6, 1)
@@ -303,7 +304,7 @@ func TestTunedNopsNearOptimum(t *testing.T) {
 	if lo < 0 {
 		t.Fatal("curve has no positive range")
 	}
-	if n := TunedNops(a); n < lo || n > hi {
-		t.Errorf("TunedNops(%s)=%d outside positive range [%d,%d]", a.Name, n, lo, hi)
+	if n := hammer.TunedNops(a); n < lo || n > hi {
+		t.Errorf("hammer.TunedNops(%s)=%d outside positive range [%d,%d]", a.Name, n, lo, hi)
 	}
 }

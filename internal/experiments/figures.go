@@ -472,8 +472,8 @@ func fig11Spec(cfg Config) campaign.Spec {
 			label string
 			hcfg  hammer.Config
 		}{
-			{"baseline", BaselineS()},
-			{"rhoHammer", RhoM(a)},
+			{"baseline", hammer.Baseline()},
+			{"rhoHammer", hammer.Recommended(a)},
 		} {
 			cells = append(cells, campaign.Cell{
 				Key:  a.Name + "/" + st.label,

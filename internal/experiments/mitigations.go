@@ -59,8 +59,8 @@ func mitigationsSpec(cfg Config) campaign.Spec {
 		name string
 		cfg  hammer.Config
 	}{
-		{"baseline", BaselineS()},
-		{"rhoHammer", RhoS(a)},
+		{"baseline", hammer.Baseline()},
+		{"rhoHammer", hammer.RecommendedSingleBank(a)},
 	}
 	var cells []campaign.Cell
 	for _, st := range setups {

@@ -116,7 +116,7 @@ func table3Spec(cfg Config) campaign.Spec {
 			{"MFENCE", hammer.Config{Instr: hammer.InstrPrefetchT2, Barrier: hammer.BarrierMFence, Banks: 1, Obfuscate: true}},
 			{"LFENCE (load)", hammer.Config{Instr: hammer.InstrLoad, Barrier: hammer.BarrierLFence, Banks: 1, Obfuscate: true}},
 			{"LFENCE (prefetch)", hammer.Config{Instr: hammer.InstrPrefetchT2, Barrier: hammer.BarrierLFence, Banks: 1, Obfuscate: true}},
-			{"NOP", hammer.Config{Instr: hammer.InstrPrefetchT2, Barrier: hammer.BarrierNop, Nops: TunedNops(a), Banks: 1, Obfuscate: true}},
+			{"NOP", hammer.Config{Instr: hammer.InstrPrefetchT2, Barrier: hammer.BarrierNop, Nops: hammer.TunedNops(a), Banks: 1, Obfuscate: true}},
 		} {
 			cells = append(cells, campaign.Cell{
 				Key:  a.Name + "/" + b.label,
@@ -365,10 +365,10 @@ func strategies(a *arch.Arch) []struct {
 		label string
 		hcfg  hammer.Config
 	}{
-		{"BL-S", BaselineS()},
-		{"BL-M", BaselineM(a)},
-		{"rho-S", RhoS(a)},
-		{"rho-M", RhoM(a)},
+		{"BL-S", hammer.Baseline()},
+		{"BL-M", baselineM(a)},
+		{"rho-S", hammer.RecommendedSingleBank(a)},
+		{"rho-M", hammer.Recommended(a)},
 	}
 }
 

@@ -117,9 +117,3 @@ func (c *Controller) AddAccessStats(accesses, rowHits, rowEmpty, conflicts, deco
 	c.stats.Conflicts += conflicts
 	c.stats.DecodeHits += decodeHits
 }
-
-// Armed reports whether the trace is recording. The payload executor
-// reads it once per run and, while it holds, records its PRE and ACT
-// commands through Trace.Record, so an armed trace sees the same
-// command stream on the compiled path as on the interpreted one.
-func (t *Trace) Armed() bool { return t.on }

@@ -7,6 +7,11 @@
 // timing side channel: a row-buffer conflict costs tRP + tRCD + tCL,
 // a row hit only tCL, and accesses to different banks overlap. The
 // reverse-engineering algorithms consume exactly this latency contrast.
+//
+// The controller keeps no log of the commands it issues. Its ACTs and
+// REFs land on the dram.Device, whose counters count them and whose
+// obs.Trace, when attached, records them as the stream internal/replay
+// replays.
 package memctrl
 
 import (
@@ -107,10 +112,6 @@ type Controller struct {
 	Dev  *dram.Device
 	T    Timings
 
-	// Trace optionally records the issued command stream; arm it with
-	// Trace.Start. Disabled by default (zero overhead beyond a branch).
-	Trace Trace
-
 	// banks holds the per-bank state machines as one array of structs:
 	// a bank's open row, ACT clock and busy clock share a cache line and
 	// a single bounds check in the hot loops.
@@ -210,7 +211,6 @@ func (c *Controller) advanceRefresh(now float64) {
 	for c.nextREF <= now {
 		t := c.nextREF
 		c.Dev.Refresh(t)
-		c.Trace.Record(Cmd{Kind: CmdREF, At: t})
 		c.stats.Refreshes++
 		for b := range c.banks {
 			if c.banks[b].BusyUnit < t+c.T.TRFC {
@@ -249,7 +249,6 @@ func (c *Controller) Access(pa uint64, at float64) (complete float64, kind Acces
 		if tMin := b.LastACT + c.T.TRC; actAt < tMin {
 			actAt = tMin
 		}
-		c.Trace.Record(Cmd{Kind: CmdACT, Bank: bank, Row: uint64(row), At: actAt})
 		c.Dev.Activate(bank, uint64(row), actAt)
 		b.LastACT = actAt
 		b.OpenRow = row
@@ -263,8 +262,6 @@ func (c *Controller) Access(pa uint64, at float64) (complete float64, kind Acces
 		if tMin := b.LastACT + c.T.TRC; actAt < tMin {
 			actAt = tMin
 		}
-		c.Trace.Record(Cmd{Kind: CmdPRE, Bank: bank, At: preAt})
-		c.Trace.Record(Cmd{Kind: CmdACT, Bank: bank, Row: uint64(row), At: actAt})
 		c.Dev.Activate(bank, uint64(row), actAt)
 		b.LastACT = actAt
 		b.OpenRow = row

@@ -15,7 +15,7 @@ func testController() *Controller {
 	return New(a, m, dram.NewDevice(d, 1))
 }
 
-func addr(t *testing.T, c *Controller, bank int, row uint64) uint64 {
+func addr(t testing.TB, c *Controller, bank int, row uint64) uint64 {
 	t.Helper()
 	pa, err := c.Map.PhysAddr(bank, row, 0)
 	if err != nil {
@@ -238,4 +238,57 @@ func TestMismatchedBankCountPanics(t *testing.T) {
 	m, _ := mapping.ForPlatform("comet-rocket", 16) // 32 banks
 	d := arch.DIMMS2()                              // single-rank: 16 banks
 	New(a, m, dram.NewDevice(d, 1))
+}
+
+// BenchmarkAccess times one Controller.Access, the per-access path of
+// the timing measurements behind mapping recovery. Both halves
+// alternate two rows of one bank, so every access issues an ACT (a row
+// conflict, or a row-empty ACT after a REF) that reaches the device.
+// In decode_hit the two addresses sit in different decode-cache slots,
+// so their translations stay cached. In decode_miss they share a slot
+// and evict each other, so every access also evaluates the mapping's
+// bank and row functions. Neither allocates.
+func BenchmarkAccess(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		misses bool
+	}{{"decode_hit", false}, {"decode_miss", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := testController()
+			pas := [2]uint64{addr(b, c, 0, 100), addr(b, c, 0, 200)}
+			if bc.misses {
+				pas[1] = sameSlotOtherRow(b, c, pas[0])
+			}
+			now := 0.0
+			for i := 0; i < 1000; i++ {
+				now, _ = c.Access(pas[i&1], now)
+			}
+			before := c.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now, _ = c.Access(pas[i&1], now)
+			}
+			b.StopTimer()
+			st := c.Stats()
+			misses, acts := st.DecodeMisses-before.DecodeMisses, st.ACTs()-before.ACTs()
+			if want := uint64(b.N); (bc.misses && misses != want) || (!bc.misses && misses != 0) || acts != want {
+				b.Fatalf("%d decode misses and %d ACTs in %d accesses", misses, acts, b.N)
+			}
+		})
+	}
+}
+
+// sameSlotOtherRow returns an address in pa's bank, in another row,
+// that indexes pa's decode-cache slot. Flipping bits 6+i and 18+i
+// together leaves ((pa>>6)^(pa>>18)) unchanged in the slot bits.
+func sameSlotOtherRow(b *testing.B, c *Controller, pa uint64) uint64 {
+	for k := uint64(1); k < decodeSize; k++ {
+		q := pa ^ (k<<6 | k<<18)
+		if q < c.Map.Size() && c.Map.Bank(q) == c.Map.Bank(pa) && c.Map.Row(q) != c.Map.Row(pa) {
+			return q
+		}
+	}
+	b.Fatal("no same-slot address in another row of the bank")
+	return 0
 }

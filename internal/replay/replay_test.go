@@ -126,3 +126,65 @@ func TestSessionTraceRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceReplayMatchesLive drives the TRR-bypassing pattern straight
+// through the memory controller, with no payload executor in between,
+// and records the device's trace of it. Replayed on a fresh device
+// under the reference-model auditor, the trace must reproduce the live
+// run's flips exactly: the device trace is a complete record of
+// everything the controller did that determines disturbance.
+func TestTraceReplayMatchesLive(t *testing.T) {
+	s, err := hammer.NewSession(arch.CometLake(), arch.DIMMS4(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace(1 << 19)
+	s.Dev.SetTrace(tr)
+	// Decoys own the sampler while the true aggressor pairs accumulate
+	// disturbance, so flips appear within a bounded access budget.
+	seq := pattern.KnownGood().Render()
+	const baseRow = 9000
+	now := 0.0
+	for pass := 0; pass < 6000 && len(s.Dev.Flips()) < 3; pass++ {
+		for _, off := range seq {
+			pa, err := s.Map.PhysAddr(0, baseRow+uint64(off), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now, _ = s.Ctrl.Access(pa, now)
+		}
+	}
+	live := s.Dev.Flips()
+	if len(live) == 0 {
+		t.Fatal("live run produced no flips; replay test is vacuous")
+	}
+	if d := tr.Dropped(); d > 0 {
+		t.Fatalf("trace ring dropped %d of %d events; enlarge the test ring", d, uint64(tr.Len())+d)
+	}
+
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	f, err := DecodeBytes(buf.Bytes(), Options{DIMM: s.DIMM.ID, Seed: &s.Dev.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := Run(f)
+	if v.Divergence != "" {
+		t.Fatalf("auditor divergence on replay: %s", v.Divergence)
+	}
+	if v.RecordedMissing != 0 {
+		t.Errorf("%d flips recorded in the trace were not reproduced", v.RecordedMissing)
+	}
+	if v.FlipCount != len(live) {
+		t.Fatalf("replayed %d flips, live run had %d", v.FlipCount, len(live))
+	}
+	for i, fl := range live {
+		want := FlipRecord{Bank: fl.Bank, Row: fl.Row, Byte: fl.ByteInRow, Bit: int(fl.Bit),
+			OneToZero: fl.OneToZero, TimeNS: fl.Time}
+		if v.Flips[i] != want {
+			t.Errorf("flip %d: replayed %+v, live %+v", i, v.Flips[i], want)
+		}
+	}
+}

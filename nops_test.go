@@ -4,14 +4,12 @@ import (
 	"testing"
 
 	"rhohammer/internal/arch"
-	"rhohammer/internal/experiments"
 	"rhohammer/internal/hammer"
 )
 
 // TestRecommendedConfigsShareTunedTables pins the single-home property:
-// the Attack recommendations and the experiments package must both
-// consume the tuned NOP/bank tables in internal/hammer, so the numbers
-// can never drift apart again.
+// the Attack recommendations consume the tuned NOP/bank tables in
+// internal/hammer, so the numbers can never drift apart again.
 func TestRecommendedConfigsShareTunedTables(t *testing.T) {
 	for _, a := range arch.All() {
 		atk, err := NewAttack(Options{Arch: a})
@@ -36,22 +34,6 @@ func TestRecommendedConfigsShareTunedTables(t *testing.T) {
 		}
 		if single.Banks != 1 {
 			t.Errorf("%s: RecommendedSingleBankConfig Banks = %d, want 1", a.Name, single.Banks)
-		}
-
-		// The experiments package draws from the same tables.
-		if got := experiments.TunedNops(a); got != hammer.TunedNops(a) {
-			t.Errorf("%s: experiments.TunedNops %d != hammer.TunedNops %d",
-				a.Name, got, hammer.TunedNops(a))
-		}
-		if got := experiments.TunedNopsMulti(a); got != hammer.TunedNopsMulti(a) {
-			t.Errorf("%s: experiments.TunedNopsMulti %d != hammer.TunedNopsMulti %d",
-				a.Name, got, hammer.TunedNopsMulti(a))
-		}
-		if rhoM := experiments.RhoM(a); rhoM != multi {
-			t.Errorf("%s: experiments.RhoM %+v != Attack.RecommendedConfig %+v", a.Name, rhoM, multi)
-		}
-		if rhoS := experiments.RhoS(a); rhoS != single {
-			t.Errorf("%s: experiments.RhoS %+v != Attack.RecommendedSingleBankConfig %+v", a.Name, rhoS, single)
 		}
 	}
 }
