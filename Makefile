@@ -40,11 +40,12 @@ determinism:
 # doccheck keeps the documentation from rotting: every package must
 # carry a package doc comment, every relative link in the root
 # markdown documents must resolve, API.md must document every route
-# the campaign server registers, and `make fuzz` must run every native
-# fuzz target in the module. (vet is listed so `make doccheck` stands
+# the campaign server registers and exactly the fields of its job and
+# replay request bodies, and `make fuzz` must run every native fuzz
+# target in the module. (vet is listed so `make doccheck` stands
 # alone as the docs gate; verify already runs it.)
 doccheck: vet
-	$(GO) test -run 'TestPackageDocComments|TestDocLinks|TestAPIDocCoversRoutes|TestOperationsDocCoversMetrics|TestMakeFuzzRunsEveryFuzzTarget' .
+	$(GO) test -run 'TestPackageDocComments|TestDocLinks|TestAPIDocCoversRoutes|TestAPIDocRequestTables|TestOperationsDocCoversMetrics|TestMakeFuzzRunsEveryFuzzTarget' .
 
 verify: build fmt vet test race determinism doccheck
 

@@ -68,8 +68,7 @@ var pins = []pin{
 	{"internal/campaign", "^BenchmarkPoolEmptyCells$", 2000},
 	{"internal/mem", "^BenchmarkNewPool$", 3},
 	{"internal/store", "^BenchmarkReplayJournal$", 30},
-	// The cold half polls a status whose poll count, and so its
-	// allocs/op, varies with scheduling (EXPERIMENTS.md).
+	{"internal/serve", "^BenchmarkServeSubmit$/^submit_to_result$", 2000},
 	{"internal/serve", "^BenchmarkServeSubmit$/^cache_hit$", 10_000},
 }
 

@@ -12,15 +12,17 @@
 // budgets (table6 at scale 1 takes a couple of minutes). -parallel
 // bounds the campaign worker pool; every experiment's bytes are
 // identical for any worker count — parallelism only changes wall-clock
-// time. -json -canon emits the canonical envelope (scheduling noise
-// zeroed), the exact bytes serverd's result endpoint serves; see
-// API.md.
+// time. -json emits the canonical envelope (per-cell stats with wall
+// times zeroed), the exact bytes serverd's result endpoint serves; see
+// API.md. How the run executed — its workers, wall time and per-cell
+// wall times — goes to -manifest.
 //
 // Observability (see ARCHITECTURE.md):
 //
 //	-manifest out.json   write a run manifest (git rev, seed, flags,
-//	                     per-cell timings and seeds, counter snapshot);
-//	                     any artifact is reproducible from it alone
+//	                     workers, per-cell timings and seeds, counter
+//	                     snapshot); any artifact is reproducible from
+//	                     it alone
 //	-metrics out.txt     write a Prometheus-style counter snapshot
 //	                     ("-" for stdout)
 //	-trace out.jsonl     record structured substrate events per session
@@ -51,8 +53,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "campaign worker pool size; 0 means GOMAXPROCS (results are identical for every value)")
 	only := flag.String("only", "", "run exactly one named experiment")
 	list := flag.Bool("list", false, "list registered experiments and exit")
-	asJSON := flag.Bool("json", false, "emit structured JSON (with per-cell stats) instead of text")
-	canon := flag.Bool("canon", false, "with -json, zero the scheduling-dependent fields (workers, wall times) so the bytes depend only on seed and scale — the envelope serverd serves")
+	asJSON := flag.Bool("json", false, "emit the canonical JSON envelope (per-cell stats, wall times zeroed; the bytes serverd serves) instead of text")
 	simcheck := flag.Bool("simcheck", false, "audit every simulated session against the slow reference model (order-of-magnitude slower; panics on divergence)")
 	manifestPath := flag.String("manifest", "", "write a run manifest (JSON) to this path")
 	metricsPath := flag.String("metrics", "", "write a Prometheus-style counter snapshot to this path (\"-\" for stdout)")
@@ -152,11 +153,7 @@ func main() {
 			continue
 		}
 		if *asJSON {
-			write := experiments.WriteOutcomeJSON
-			if *canon {
-				write = experiments.WriteCanonicalOutcomeJSON
-			}
-			if err := write(os.Stdout, name, cfg, res, out); err != nil {
+			if err := experiments.WriteEnvelope(os.Stdout, name, cfg, out); err != nil {
 				fatal(err)
 			}
 			continue
@@ -236,7 +233,7 @@ func runRecord(name string, out *campaign.Outcome, err error) obs.RunRecord {
 }
 
 func usage(names []string) {
-	fmt.Fprintf(os.Stderr, "usage: experiments [-seed N] [-scale X] [-parallel W] [-json [-canon]] [-manifest M] [-metrics P] [-trace T] <experiment...|all>\n")
+	fmt.Fprintf(os.Stderr, "usage: experiments [-seed N] [-scale X] [-parallel W] [-json] [-manifest M] [-metrics P] [-trace T] <experiment...|all>\n")
 	fmt.Fprintf(os.Stderr, "       experiments -only <experiment>\n")
 	fmt.Fprintf(os.Stderr, "       experiments -list\nexperiments:")
 	for _, n := range names {

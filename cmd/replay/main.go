@@ -88,9 +88,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := experiments.Config{Seed: f.Seed, Scale: 1, Workers: 1}
+		cfg := experiments.Config{Seed: f.Seed, Scale: 1}
 		var buf bytes.Buffer
-		if err := experiments.WriteCanonicalOutcomeJSON(&buf, spec.Name, cfg, out.Result, out); err != nil {
+		if err := experiments.WriteEnvelope(&buf, spec.Name, cfg, out); err != nil {
 			log.Fatal(err)
 		}
 		os.Stdout.Write(buf.Bytes())

@@ -49,20 +49,18 @@ func TestDistSmoke(t *testing.T) {
 	}
 
 	// The job under test: the attack-chain grid, the same golden-pinned
-	// (spec, seed, scale) the serve smoke uses. No "parallel" in the
-	// body — an explicit worker count forces local execution, and the
-	// point here is the lease fabric.
+	// (spec, seed, scale) the serve smoke uses.
 	const spec, seed, scale = "chain", 42, 0.2
 	body := fmt.Sprintf(`{"spec":%q,"seed":%d,"scale":%v}`, spec, seed, scale)
 
 	// Golden envelope via the exact CLI code path, computed in-process.
 	cfg := experiments.Config{Seed: seed, Scale: scale, Workers: 2}
-	res, out, err := experiments.RunOutcome(spec, cfg)
+	_, out, err := experiments.RunOutcome(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var golden bytes.Buffer
-	if err := experiments.WriteCanonicalOutcomeJSON(&golden, spec, cfg, res, out); err != nil {
+	if err := experiments.WriteEnvelope(&golden, spec, cfg, out); err != nil {
 		t.Fatal(err)
 	}
 

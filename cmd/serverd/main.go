@@ -19,7 +19,9 @@
 // (beyond that POST returns 429 with Retry-After), and are polled via
 // GET /v1/jobs/{id}. The
 // result endpoint serves the canonical envelope — byte-identical to
-// `experiments -json -canon -only <spec>` at the same seed and scale.
+// `experiments -json -only <spec>` at the same seed and scale — and the
+// manifest endpoint records how the job ran. Placement is the
+// server's alone: no request sets a worker count or a batch size.
 //
 // Roles: the default standalone server executes every job locally. A
 // -role coordinator server additionally registers the lease routes and
@@ -82,7 +84,7 @@ func main() {
 	replayMax := flag.Int64("replay-max-bytes", 0, "POST /v1/replay body bound in bytes (0 = 4 MiB default)")
 	storeDir := flag.String("store-dir", "", "durable job store directory; empty keeps jobs in memory only (see OPERATIONS.md)")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "coordinator: lease lifetime without renewal before cells are reclaimed")
-	leaseBatch := flag.Int("lease-batch", 4, "coordinator: max cells per lease; worker: max cells requested per lease")
+	leaseBatch := flag.Int("lease-batch", 4, "coordinator: max cells per lease (the one batch bound)")
 	coordinator := flag.String("coordinator", "", "worker: coordinator base URL, e.g. http://127.0.0.1:8077")
 	workerName := flag.String("worker-name", "", "worker: label shown in GET /v1/workers and manifests")
 	poll := flag.Duration("poll", 200*time.Millisecond, "worker: sleep between lease attempts when the coordinator has no work")
@@ -97,7 +99,7 @@ func main() {
 
 	switch *role {
 	case "worker":
-		runWorker(*coordinator, *workerName, *parallel, *leaseBatch, *poll, *drainGrace)
+		runWorker(*coordinator, *workerName, *parallel, *poll, *drainGrace)
 		return
 	case "standalone", "coordinator":
 	default:
@@ -164,7 +166,7 @@ func main() {
 // cleanly; a second signal or the grace expiring cancels the run
 // outright. Killing a worker at any moment is safe regardless: the
 // coordinator reclaims its leases at their deadlines.
-func runWorker(coordinator, name string, parallel, maxCells int, poll, grace time.Duration) {
+func runWorker(coordinator, name string, parallel int, poll, grace time.Duration) {
 	if coordinator == "" {
 		log.Fatal("serverd: -role worker requires -coordinator URL")
 	}
@@ -173,7 +175,6 @@ func runWorker(coordinator, name string, parallel, maxCells int, poll, grace tim
 		Registry:    experiments.Registry,
 		Name:        name,
 		Parallel:    parallel,
-		MaxCells:    maxCells,
 		Poll:        poll,
 	}
 	ctx, cancel := context.WithCancel(context.Background())

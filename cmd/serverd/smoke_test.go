@@ -100,23 +100,23 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// One short campaign job, matching the CI obs-smoke budget.
-	const spec, seed, scale, parallel = "fig3", 42, 0.2, 2
-	job1 := submitJob(t, base, fmt.Sprintf(`{"spec":%q,"seed":%d,"scale":%v,"parallel":%d}`, spec, seed, scale, parallel))
+	const spec, seed, scale = "fig3", 42, 0.2
+	job1 := submitJob(t, base, fmt.Sprintf(`{"spec":%q,"seed":%d,"scale":%v}`, spec, seed, scale))
 	waitDone(t, base, job1, 120*time.Second)
 
 	code, result := httpGet(t, base+"/v1/jobs/"+job1+"/result")
 	if code != http.StatusOK {
 		t.Fatalf("GET result = %d: %s", code, result)
 	}
-	// Golden envelope: the exact CLI path (`experiments -json -canon
-	// -only fig3 -seed 42 -scale 0.2`) computed in-process.
-	cfg := experiments.Config{Seed: seed, Scale: scale, Workers: parallel}
-	res, out, err := experiments.RunOutcome(spec, cfg)
+	// Golden envelope: the exact CLI path (`experiments -json -only
+	// fig3 -seed 42 -scale 0.2`) computed in-process.
+	cfg := experiments.Config{Seed: seed, Scale: scale}
+	_, out, err := experiments.RunOutcome(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := experiments.WriteCanonicalOutcomeJSON(&want, spec, cfg, res, out); err != nil {
+	if err := experiments.WriteEnvelope(&want, spec, cfg, out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(result, want.Bytes()) {
@@ -130,20 +130,20 @@ func TestServeSmoke(t *testing.T) {
 	// in-process CLI envelope, then resubmitted to prove the result cache
 	// answers repeat (spec, seed, scale) keys without re-running.
 	const chainSpec, chainScale = "chain", 0.2
-	chainBody := fmt.Sprintf(`{"spec":%q,"seed":%d,"scale":%v,"parallel":%d}`, chainSpec, seed, chainScale, parallel)
+	chainBody := fmt.Sprintf(`{"spec":%q,"seed":%d,"scale":%v}`, chainSpec, seed, chainScale)
 	chainJob := submitJob(t, base, chainBody)
 	waitDone(t, base, chainJob, 120*time.Second)
 	code, chainResult := httpGet(t, base+"/v1/jobs/"+chainJob+"/result")
 	if code != http.StatusOK {
 		t.Fatalf("GET chain result = %d: %s", code, chainResult)
 	}
-	chainCfg := experiments.Config{Seed: seed, Scale: chainScale, Workers: parallel}
-	chainRes, chainOut, err := experiments.RunOutcome(chainSpec, chainCfg)
+	chainCfg := experiments.Config{Seed: seed, Scale: chainScale}
+	_, chainOut, err := experiments.RunOutcome(chainSpec, chainCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var chainWant bytes.Buffer
-	if err := experiments.WriteCanonicalOutcomeJSON(&chainWant, chainSpec, chainCfg, chainRes, chainOut); err != nil {
+	if err := experiments.WriteEnvelope(&chainWant, chainSpec, chainCfg, chainOut); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(chainResult, chainWant.Bytes()) {
@@ -206,8 +206,8 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var replayWant bytes.Buffer
-	replayCfg := experiments.Config{Seed: f.Seed, Scale: 1, Workers: 1}
-	if err := experiments.WriteCanonicalOutcomeJSON(&replayWant, replaySpec.Name, replayCfg, replayOut.Result, replayOut); err != nil {
+	replayCfg := experiments.Config{Seed: f.Seed, Scale: 1}
+	if err := experiments.WriteEnvelope(&replayWant, replaySpec.Name, replayCfg, replayOut); err != nil {
 		t.Fatal(err)
 	}
 	replayBody, err := json.Marshal(map[string]string{"trace": traceBuf.String()})
@@ -243,7 +243,7 @@ func TestServeSmoke(t *testing.T) {
 	// listener shutdown, so a connection error here means the server
 	// already finished draining — job2's manifest on disk is the proof
 	// that it completed rather than being dropped.
-	job2 := submitJob(t, base, fmt.Sprintf(`{"spec":"table2","seed":%d,"parallel":1}`, seed))
+	job2 := submitJob(t, base, fmt.Sprintf(`{"spec":"table2","seed":%d}`, seed))
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

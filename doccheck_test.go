@@ -1,13 +1,16 @@
 package rhohammer
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -87,6 +90,111 @@ func TestAPIDocCoversRoutes(t *testing.T) {
 			t.Errorf("API.md has no \"## %s\" section", route)
 		}
 	}
+}
+
+// TestAPIDocRequestTables requires the field tables under API.md's
+// "## POST /v1/jobs" and "## POST /v1/replay" sections to name exactly
+// the JSON fields of internal/serve's jobRequest and replayRequest.
+// The fields are read from the Go source, so no production code
+// exists for this check; a request field added, retired or renamed on
+// one side only fails here.
+func TestAPIDocRequestTables(t *testing.T) {
+	data, err := os.ReadFile("API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := jsonFieldsByType(t, filepath.Join("internal", "serve"))
+	for _, c := range []struct{ section, typ string }{
+		{"## POST /v1/jobs", "jobRequest"},
+		{"## POST /v1/replay", "replayRequest"},
+	} {
+		documented := docFieldTables(string(data), c.section)
+		code := declared[c.typ]
+		if len(code) == 0 || len(documented) == 0 {
+			t.Fatalf("%s: %d documented fields, %s has %d", c.section, len(documented), c.typ, len(code))
+		}
+		for _, f := range code {
+			if !slices.Contains(documented, f) {
+				t.Errorf("API.md %q table lacks %s field %q", c.section, c.typ, f)
+			}
+		}
+		for _, f := range documented {
+			if !slices.Contains(code, f) {
+				t.Errorf("API.md %q table documents %q, which %s does not have", c.section, f, c.typ)
+			}
+		}
+	}
+}
+
+// jsonFieldsByType parses the non-test Go files in dir and returns each
+// struct type's JSON field names, in declaration order.
+func jsonFieldsByType(t *testing.T, dir string) map[string][]string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string][]string{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return false
+			}
+			for _, fd := range st.Fields.List {
+				if fd.Tag == nil {
+					continue
+				}
+				tag, err := strconv.Unquote(fd.Tag.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ",")
+				if name != "" && name != "-" {
+					fields[ts.Name.Name] = append(fields[ts.Name.Name], name)
+				}
+			}
+			return false
+		})
+	}
+	return fields
+}
+
+// docFieldTables returns the backquoted first-column names of every
+// "| Field | Type | Meaning |" table in the markdown section that opens
+// with the heading line section and runs to the next "## " heading.
+func docFieldTables(doc, section string) []string {
+	_, body, ok := strings.Cut(doc, "\n"+section+"\n")
+	if !ok {
+		return nil
+	}
+	body, _, _ = strings.Cut(body, "\n## ")
+	var names []string
+	inTable := false
+	for _, line := range strings.Split(body, "\n") {
+		switch {
+		case strings.HasPrefix(line, "| Field | Type | Meaning |"):
+			inTable = true
+		case !strings.HasPrefix(line, "|"):
+			inTable = false
+		case inTable && strings.HasPrefix(line, "| `"):
+			name, _, _ := strings.Cut(strings.TrimPrefix(line, "| `"), "`")
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // TestOperationsDocCoversMetrics requires OPERATIONS.md (the runbook)

@@ -27,12 +27,8 @@ type AblationRow struct {
 // branch-prediction share open (requiring far more NOPs at a rate cost).
 type AblationResult struct{ Rows []AblationRow }
 
-// AblationCounterSpec sweeps the best pattern under the four
+// ablationCSSpec sweeps the best pattern under the four
 // obfuscation/NOP combinations.
-func AblationCounterSpec(cfg Config) *AblationResult {
-	return runSpec[*AblationResult](cfg, "ablation-cs")
-}
-
 func ablationCSSpec(cfg Config) campaign.Spec {
 	budget := campaign.Budget{
 		Locations:  cfg.scaled(6, 3),
@@ -98,11 +94,7 @@ type SamplerAblationResult struct {
 	Rows []SamplerAblationRow
 }
 
-// AblationSamplerSize sweeps the DIMM's TRR sampler capacity.
-func AblationSamplerSize(cfg Config) *SamplerAblationResult {
-	return runSpec[*SamplerAblationResult](cfg, "ablation-sampler")
-}
-
+// ablationSamplerSpec sweeps the DIMM's TRR sampler capacity.
 func ablationSamplerSpec(cfg Config) campaign.Spec {
 	a := arch.CometLake()
 	budget := campaign.Budget{

@@ -10,7 +10,7 @@ func TestFig9BankScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzing campaign")
 	}
-	res := Fig9(Config{Seed: 42, Scale: 0.6})
+	res := run[*Fig9Result](t, "fig9", Config{Seed: 42, Scale: 0.6})
 	get := func(archName, instr string, banks int) int {
 		for _, c := range res.Cells {
 			if c.Arch == archName && c.Instr == instr && c.Banks == banks {
@@ -56,7 +56,7 @@ func TestTable6Landscape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fuzzing matrix")
 	}
-	res := Table6(Config{Seed: 42, Scale: 0.6})
+	res := run[*Table6Result](t, "table6", Config{Seed: 42, Scale: 0.6})
 	cell := func(archName, dimm, strategy string) Table6Cell {
 		for _, c := range res.Cells {
 			if c.Arch == archName && c.DIMM == dimm && c.Strategy == strategy {
@@ -124,7 +124,7 @@ func TestFig11Revival(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeping campaign")
 	}
-	res := Fig11(Config{Seed: 42, Scale: 0.5})
+	res := run[*Fig11Result](t, "fig11", Config{Seed: 42, Scale: 0.5})
 	rate := func(archName, strategy string) float64 {
 		for _, s := range res.Series {
 			if s.Arch == archName && s.Strategy == strategy {

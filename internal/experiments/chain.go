@@ -34,9 +34,7 @@ type ChainRow struct {
 // platform.
 type ChainResult struct{ Rows []ChainRow }
 
-// ChainGrid runs the 2x2x2 allocator x hammerer x victim grid.
-func ChainGrid(cfg Config) *ChainResult { return runSpec[*ChainResult](cfg, "chain") }
-
+// chainSpec runs the 2x2x2 allocator x hammerer x victim grid.
 func chainSpec(cfg Config) campaign.Spec {
 	a := arch.RaptorLake()
 	var cells []campaign.Cell

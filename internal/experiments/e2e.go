@@ -25,10 +25,8 @@ type E2ERow struct {
 // E2EResult reproduces the §5.3 end-to-end PTE-corruption runs.
 type E2EResult struct{ Rows []E2ERow }
 
-// E2E performs the full templating + massaging + exploitation pipeline
+// e2eSpec performs the full templating + massaging + exploitation pipeline
 // on Alder and Raptor Lake (the platforms the paper demonstrates).
-func E2E(cfg Config) *E2EResult { return runSpec[*E2EResult](cfg, "e2e") }
-
 func e2eSpec(cfg Config) campaign.Spec {
 	var cells []campaign.Cell
 	for _, a := range []*arch.Arch{arch.AlderLake(), arch.RaptorLake()} {

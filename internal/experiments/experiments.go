@@ -1,8 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation on the simulated substrate. Each experiment is a pure
-// function of (seed, scale) returning a structured result with a text
-// renderer; cmd/experiments exposes them on the command line and the
-// repository's top-level benchmarks time them.
+// evaluation on the simulated substrate. Each experiment is a campaign
+// spec in the Registry, a pure function of (seed, scale) whose result
+// renders as text; Run executes one by name. cmd/experiments exposes
+// them on the command line, and WriteEnvelope writes a result as the
+// canonical JSON envelope that cmd/experiments -json and serverd's
+// result endpoint share. The envelope carries no scheduling data: a
+// run's workers and wall times belong to its obs manifest.
 //
 // Scale trades fidelity for runtime: 1.0 approximates the paper's
 // budgets (hours of simulated hammering), while the defaults used by

@@ -14,6 +14,21 @@ import (
 // full defaults.
 var small = Config{Seed: 42, Scale: 0.4}
 
+// run executes the named registry campaign through Run and returns its
+// result as the artifact's concrete type.
+func run[T Renderer](t *testing.T, name string, cfg Config) T {
+	t.Helper()
+	r, err := Run(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := r.(T)
+	if !ok {
+		t.Fatalf("%s: result is %T", name, r)
+	}
+	return res
+}
+
 func render(t *testing.T, r Renderer) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -26,7 +41,7 @@ func render(t *testing.T, r Renderer) string {
 }
 
 func TestTable1(t *testing.T) {
-	res := Table1(small)
+	res := run[*Table1Result](t, "table1", small)
 	if len(res.Archs) != 4 {
 		t.Fatalf("%d architectures", len(res.Archs))
 	}
@@ -39,7 +54,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	res := Table2(small)
+	res := run[*Table2Result](t, "table2", small)
 	if len(res.DIMMs) != 7 {
 		t.Fatalf("%d DIMMs", len(res.DIMMs))
 	}
@@ -52,7 +67,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFig3ThresholdShape(t *testing.T) {
-	res := Fig3(small)
+	res := run[*Fig3Result](t, "fig3", small)
 	th := res.Threshold
 	if !(th.FastMode < th.Threshold && th.Threshold < th.SlowMode) {
 		t.Errorf("threshold %v not between modes (%v, %v)", th.Threshold, th.FastMode, th.SlowMode)
@@ -69,7 +84,7 @@ func TestFig4HeatmapContrast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full heatmap")
 	}
-	res := Fig4(Config{Seed: 42, Scale: 0.3})
+	res := run[*Fig4Result](t, "fig4", Config{Seed: 42, Scale: 0.3})
 	if len(res.Archs) != 2 {
 		t.Fatal("want two architectures")
 	}
@@ -88,7 +103,7 @@ func TestFig4HeatmapContrast(t *testing.T) {
 }
 
 func TestTable4AllCorrect(t *testing.T) {
-	res := Table4(small)
+	res := run[*Table4Result](t, "table4", small)
 	if len(res.Rows) != 6 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -107,7 +122,7 @@ func TestTable5ToolMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tool comparison matrix")
 	}
-	res := Table5(Config{Seed: 42, Scale: 0.5})
+	res := run[*Table5Result](t, "table5", Config{Seed: 42, Scale: 0.5})
 	get := func(tool, archName string) Table5Cell {
 		for _, c := range res.Cells {
 			if c.Tool == tool && c.Arch == archName {
@@ -156,7 +171,7 @@ func TestTable5ToolMatrix(t *testing.T) {
 }
 
 func TestFig6PrefetchFaster(t *testing.T) {
-	res := Fig6(small)
+	res := run[*Fig6Result](t, "fig6", small)
 	byKey := map[string]float64{}
 	for _, c := range res.Cells {
 		byKey[c.Arch+"/"+c.Instr] = c.MeanTimeMS
@@ -179,7 +194,7 @@ func TestFig6PrefetchFaster(t *testing.T) {
 }
 
 func TestFig8Shapes(t *testing.T) {
-	res := Fig8(small)
+	res := run[*Fig8Result](t, "fig8", small)
 	point := func(style, instr string, banks int) Fig8Point {
 		for _, p := range res.Points {
 			if p.Style == style && p.Instr == instr && p.Banks == banks {
@@ -214,7 +229,7 @@ func TestFig10InvertedU(t *testing.T) {
 	if testing.Short() {
 		t.Skip("NOP sweep")
 	}
-	res := Fig10(Config{Seed: 42, Scale: 0.5})
+	res := run[*Fig10Result](t, "fig10", Config{Seed: 42, Scale: 0.5})
 	if res.Best.Flips == 0 {
 		t.Fatal("no flips at any NOP count")
 	}
@@ -236,7 +251,7 @@ func TestE2EExploits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end attacks")
 	}
-	res := E2E(Config{Seed: 42, Scale: 0.5})
+	res := run[*E2EResult](t, "e2e", Config{Seed: 42, Scale: 0.5})
 	if len(res.Rows) != 2 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}

@@ -11,67 +11,41 @@ import (
 // JSON export: every experiment result marshals to a stable JSON form so
 // the figures can be replotted with external tooling. The structured
 // result types already carry json-friendly fields; this file provides
-// the uniform envelope and the writer used by cmd/experiments -json.
+// the one envelope and its writer, used by cmd/experiments -json and
+// serverd's result endpoint.
 
 // Envelope wraps one experiment's result with its identity, the
-// configuration that produced it, and (when the campaign Outcome is
-// supplied) the per-cell execution stats.
+// configuration that produced it, and the campaign's per-cell stats.
+// It is canonical: a pure function of (experiment, seed, scale),
+// byte-identical across runs, worker counts and machines. How one run
+// executed (its workers, wall time and per-cell wall times) is the obs
+// run manifest's to record, so every cell's wall time is zero here.
 type Envelope struct {
 	Experiment string  `json:"experiment"`
 	Seed       int64   `json:"seed"`
 	Scale      float64 `json:"scale"`
-	Workers    int     `json:"workers,omitempty"`
-	WallNS     int64   `json:"wall_ns,omitempty"`
-	// Cells surfaces per-cell wall time, derived seed, attempts and
-	// error text (campaign.CellStat); every cell is individually
-	// replayable from its seed.
+	// Cells surfaces each cell's key, derived seed, attempts and error
+	// text (campaign.CellStat); every cell is individually replayable
+	// from its seed.
 	Cells  []campaign.CellStat `json:"cells,omitempty"`
 	Result any                 `json:"result"`
 }
 
-// WriteJSON emits one experiment result as indented JSON.
-func WriteJSON(w io.Writer, experiment string, cfg Config, result any) error {
-	return WriteOutcomeJSON(w, experiment, cfg, result, nil)
-}
-
-// WriteCanonicalOutcomeJSON is WriteOutcomeJSON with every
-// scheduling-dependent field zeroed: the resolved worker count, the
-// campaign wall time, and the per-cell wall times. What remains is a
-// pure function of (experiment, seed, scale) — byte-identical across
-// runs, worker counts and machines — which is the envelope serverd's
-// result endpoint serves and the determinism tests diff. The cell
-// seeds, keys, attempt counts and the result itself are untouched;
-// timings live on in the run manifest, which exists to record one
-// particular execution rather than the reproducible artifact.
-func WriteCanonicalOutcomeJSON(w io.Writer, experiment string, cfg Config, result any, out *campaign.Outcome) error {
-	if out != nil {
-		canon := *out
-		canon.Workers = 0
-		canon.Wall = 0
-		canon.Cells = make([]campaign.CellStat, len(out.Cells))
-		copy(canon.Cells, out.Cells)
-		for i := range canon.Cells {
-			canon.Cells[i].Wall = 0
-		}
-		out = &canon
-	}
-	return WriteOutcomeJSON(w, experiment, cfg, result, out)
-}
-
-// WriteOutcomeJSON is WriteJSON plus the campaign outcome's per-cell
-// stats (omitted when out is nil).
-func WriteOutcomeJSON(w io.Writer, experiment string, cfg Config, result any, out *campaign.Outcome) error {
+// WriteEnvelope emits out's result as the indented canonical envelope.
+// The cell seeds, keys, attempt counts and the result itself are
+// copied as they are; the cells' wall times are zeroed.
+func WriteEnvelope(w io.Writer, experiment string, cfg Config, out *campaign.Outcome) error {
 	cfg = cfg.withDefaults()
 	env := Envelope{
 		Experiment: experiment,
 		Seed:       cfg.Seed,
 		Scale:      cfg.Scale,
-		Result:     result,
+		Cells:      make([]campaign.CellStat, len(out.Cells)),
+		Result:     out.Result,
 	}
-	if out != nil {
-		env.Workers = out.Workers
-		env.WallNS = int64(out.Wall)
-		env.Cells = out.Cells
+	copy(env.Cells, out.Cells)
+	for i := range env.Cells {
+		env.Cells[i].Wall = 0
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

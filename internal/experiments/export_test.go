@@ -8,9 +8,12 @@ import (
 )
 
 func TestWriteJSONEnvelope(t *testing.T) {
+	_, out, err := RunOutcome("table1", small)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	res := Table1(small)
-	if err := WriteJSON(&buf, "table1", small, res); err != nil {
+	if err := WriteEnvelope(&buf, "table1", small, out); err != nil {
 		t.Fatal(err)
 	}
 	var env map[string]any
@@ -25,48 +28,54 @@ func TestWriteJSONEnvelope(t *testing.T) {
 	}
 }
 
-// TestCanonicalEnvelopeIsSchedulingFree pins the canonical exporter:
-// two runs of the same campaign at different worker counts produce
-// byte-identical canonical envelopes even though their as-executed
-// envelopes differ in wall times, and the canonical form zeroes only
-// the scheduling fields (seeds, keys and result survive).
+// TestCanonicalEnvelopeIsSchedulingFree pins the envelope writer: two
+// runs of the same campaign at different worker counts produce
+// byte-identical envelopes although their outcomes carry different
+// wall times, and the envelope drops only the scheduling data (seeds,
+// keys and result survive).
 func TestCanonicalEnvelopeIsSchedulingFree(t *testing.T) {
-	canon := func(workers int) []byte {
+	envelope := func(workers int) []byte {
 		cfg := Config{Seed: 42, Scale: 0.1, Workers: workers}
-		res, out, err := RunOutcome("table2", cfg)
+		_, out, err := RunOutcome("table2", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if out.Cells[0].Wall == 0 {
+			t.Fatal("outcome carries no cell wall time to drop")
+		}
 		var buf bytes.Buffer
-		if err := WriteCanonicalOutcomeJSON(&buf, "table2", cfg, res, out); err != nil {
+		if err := WriteEnvelope(&buf, "table2", cfg, out); err != nil {
 			t.Fatal(err)
+		}
+		if out.Cells[0].Wall == 0 {
+			t.Error("WriteEnvelope zeroed the outcome's own cell wall time")
 		}
 		return buf.Bytes()
 	}
-	a, b := canon(1), canon(8)
+	a, b := envelope(1), envelope(8)
 	if !bytes.Equal(a, b) {
-		t.Errorf("canonical envelopes differ across worker counts:\n%s\n%s", a, b)
+		t.Errorf("envelopes differ across worker counts:\n%s\n%s", a, b)
 	}
 	var env map[string]any
 	if err := json.Unmarshal(a, &env); err != nil {
 		t.Fatal(err)
 	}
 	if _, has := env["workers"]; has {
-		t.Error("canonical envelope still carries the resolved worker count")
+		t.Error("envelope carries the resolved worker count")
 	}
 	if _, has := env["wall_ns"]; has {
-		t.Error("canonical envelope still carries the campaign wall time")
+		t.Error("envelope carries the campaign wall time")
 	}
 	cells := env["cells"].([]any)
 	if len(cells) == 0 {
-		t.Fatal("canonical envelope lost its cells")
+		t.Fatal("envelope lost its cells")
 	}
 	cell := cells[0].(map[string]any)
 	if cell["wall_ns"].(float64) != 0 {
-		t.Error("canonical cell still carries a wall time")
+		t.Error("envelope cell carries a wall time")
 	}
 	if cell["key"] == "" || cell["seed"].(float64) == 0 {
-		t.Errorf("canonical cell lost its identity: %v", cell)
+		t.Errorf("envelope cell lost its identity: %v", cell)
 	}
 }
 

@@ -23,11 +23,9 @@ type Fig3Result struct {
 	Threshold timing.ThresholdResult
 }
 
-// Fig3 reproduces the threshold-finding density plot: random address
+// fig3Spec reproduces the threshold-finding density plot: random address
 // pairs from the allocated pool, their latency density, the two
 // assembly areas, and the threshold between them.
-func Fig3(cfg Config) *Fig3Result { return runSpec[*Fig3Result](cfg, "fig3") }
-
 func fig3Spec(cfg Config) campaign.Spec {
 	a := arch.CometLake()
 	return campaign.Spec{
@@ -72,11 +70,9 @@ type Fig4ArchMap struct {
 	Thres  float64
 }
 
-// Fig4 measures T_SBDR(M, {bx, by}) for all bit pairs on the
+// fig4Spec measures T_SBDR(M, {bx, by}) for all bit pairs on the
 // traditional (Comet Lake) and recent (Raptor Lake) mappings — the
 // heatmaps whose contrast motivates the layout-agnostic algorithm.
-func Fig4(cfg Config) *Fig4Result { return runSpec[*Fig4Result](cfg, "fig4") }
-
 func fig4Spec(cfg Config) campaign.Spec {
 	var cells []campaign.Cell
 	for _, a := range []*arch.Arch{arch.CometLake(), arch.RaptorLake()} {
@@ -179,11 +175,9 @@ type Fig6Cell struct {
 // Fig6Result compares hammering-instruction attack times.
 type Fig6Result struct{ Cells []Fig6Cell }
 
-// Fig6 executes random patterns to a fixed access budget with each
+// fig6Spec executes random patterns to a fixed access budget with each
 // hammer instruction (load and the four prefetch hints) and reports the
 // average completion time — prefetching is consistently ~2x faster.
-func Fig6(cfg Config) *Fig6Result { return runSpec[*Fig6Result](cfg, "fig6") }
-
 func fig6Spec(cfg Config) campaign.Spec {
 	budget := campaign.Budget{
 		Patterns:    cfg.scaled(10, 4),
@@ -257,11 +251,9 @@ type Fig8Result struct {
 	Points []Fig8Point
 }
 
-// Fig8 measures cache miss rate and attack time for the C++/AsmJit
+// fig8Spec measures cache miss rate and attack time for the C++/AsmJit
 // primitives with load/prefetch hammering across 1-8 banks on Comet
 // Lake.
-func Fig8(cfg Config) *Fig8Result { return runSpec[*Fig8Result](cfg, "fig8") }
-
 func fig8Spec(cfg Config) campaign.Spec {
 	a := arch.CometLake()
 	budget := campaign.Budget{Activations: cfg.scaled(400_000, 100_000)}
@@ -322,11 +314,9 @@ type Fig9Cell struct {
 // Fig9Result holds the fuzzing effectiveness across bank counts.
 type Fig9Result struct{ Cells []Fig9Cell }
 
-// Fig9 fuzzes with load- and prefetch-based hammering across 1-4 banks
+// fig9Spec fuzzes with load- and prefetch-based hammering across 1-4 banks
 // on all four architectures — without counter-speculation, matching the
 // §4.3 setting where Alder/Raptor Lake still yield nothing.
-func Fig9(cfg Config) *Fig9Result { return runSpec[*Fig9Result](cfg, "fig9") }
-
 func fig9Spec(cfg Config) campaign.Spec {
 	budget := campaign.Budget{
 		Patterns:   cfg.scaled(10, 5),
@@ -380,11 +370,9 @@ type Fig10Result struct {
 	Best  hammer.TunePoint
 }
 
-// Fig10 sweeps the pseudo-barrier NOP count over [0, 1000] with the
+// fig10Spec sweeps the pseudo-barrier NOP count over [0, 1000] with the
 // best pattern on Raptor Lake: zero flips at both extremes, an optimum
 // in the interior.
-func Fig10(cfg Config) *Fig10Result { return runSpec[*Fig10Result](cfg, "fig10") }
-
 func fig10Spec(cfg Config) campaign.Spec {
 	a := arch.RaptorLake()
 	return campaign.Spec{
@@ -454,13 +442,11 @@ type Fig11Series struct {
 // Fig11Result holds the sweeping flip-rate comparison.
 type Fig11Result struct{ Series []Fig11Series }
 
-// Fig11 sweeps the best pattern over a large set of non-repeating
+// fig11Spec sweeps the best pattern over a large set of non-repeating
 // locations on each architecture for both ρHammer and the baseline,
 // producing the cumulative flip series and the per-minute rates the
 // paper headlines (112x / 47x on Comet/Rocket; baseline zero on
 // Alder/Raptor).
-func Fig11(cfg Config) *Fig11Result { return runSpec[*Fig11Result](cfg, "fig11") }
-
 func fig11Spec(cfg Config) campaign.Spec {
 	budget := campaign.Budget{
 		Locations:  cfg.scaled(24, 8),

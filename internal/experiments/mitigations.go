@@ -33,11 +33,7 @@ type mitigationSetup struct {
 	rowSwap  int // swap period; 0 disables
 }
 
-// Mitigations runs ρHammer and the baseline against each §6 defense.
-func Mitigations(cfg Config) *MitigationsResult {
-	return runSpec[*MitigationsResult](cfg, "mitigations")
-}
-
+// mitigationsSpec runs ρHammer and the baseline against each §6 defense.
 func mitigationsSpec(cfg Config) campaign.Spec {
 	a := arch.RaptorLake()
 	budget := campaign.Budget{

@@ -10,7 +10,7 @@ func TestMitigationsBlockRhoHammer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mitigation matrix")
 	}
-	res := Mitigations(Config{Seed: 42, Scale: 0.5})
+	res := run[*MitigationsResult](t, "mitigations", Config{Seed: 42, Scale: 0.5})
 	get := func(mit, strat string) MitigationRow {
 		for _, r := range res.Rows {
 			if r.Mitigation == mit && r.Strategy == strat {
@@ -42,7 +42,7 @@ func TestAblationBothIngredientsNeeded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation matrix")
 	}
-	res := AblationCounterSpec(Config{Seed: 42, Scale: 0.5})
+	res := run[*AblationResult](t, "ablation-cs", Config{Seed: 42, Scale: 0.5})
 	for _, archName := range []string{"Alder Lake", "Raptor Lake"} {
 		get := func(variant string) AblationRow {
 			for _, r := range res.Rows {
@@ -76,7 +76,7 @@ func TestSamplerSizeAblationMonotoneRegion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sampler sweep")
 	}
-	res := AblationSamplerSize(Config{Seed: 42, Scale: 0.5})
+	res := run[*SamplerAblationResult](t, "ablation-sampler", Config{Seed: 42, Scale: 0.5})
 	if len(res.Rows) < 4 {
 		t.Fatal("too few points")
 	}

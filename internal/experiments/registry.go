@@ -11,8 +11,7 @@ import (
 
 // Registry maps every paper table and figure to its declarative
 // campaign Spec. cmd/experiments drives it for -list/-only and
-// selection; the exported Table*/Fig* functions run through the same
-// entries, so there is exactly one execution path per artifact.
+// selection, and Run is the one execution path per artifact.
 var Registry = campaign.NewRegistry()
 
 func init() {
@@ -83,23 +82,6 @@ func RunOutcome(name string, cfg Config) (Renderer, *campaign.Outcome, error) {
 		return nil, out, fmt.Errorf("experiments: campaign %q result %T does not render", name, out.Result)
 	}
 	return r, out, nil
-}
-
-// runSpec executes a registered campaign under the config's worker
-// budget and panics on error — experiment inputs are static profiles,
-// so a failure is a programming error (matching the historical
-// inline-loop behavior of the Table*/Fig* functions).
-func runSpec[T any](cfg Config, name string) T {
-	e, ok := Registry.Lookup(name)
-	if !ok {
-		panic(fmt.Sprintf("experiments: campaign %q not registered", name))
-	}
-	spec := e.Build(campaign.Params{Seed: cfg.Seed, Scale: cfg.Scale})
-	out, err := campaign.Run(context.Background(), spec, cfg.Workers, campaign.RunOpts{})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return out.Result.(T)
 }
 
 // gather converts the pool's index-ordered cell results into a typed

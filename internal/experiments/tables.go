@@ -21,10 +21,8 @@ import (
 // Table1Result lists the machine setups.
 type Table1Result struct{ Archs []*arch.Arch }
 
-// Table1 reproduces the Table 1 inventory from the architecture
+// table1Spec reproduces the Table 1 inventory from the architecture
 // profiles.
-func Table1(cfg Config) *Table1Result { return runSpec[*Table1Result](cfg, "table1") }
-
 func table1Spec(Config) campaign.Spec {
 	return campaign.Spec{
 		Cells: []campaign.Cell{{Key: "inventory"}},
@@ -49,9 +47,7 @@ func (t *Table1Result) Render(w io.Writer) {
 // Table2Result lists the DIMMs.
 type Table2Result struct{ DIMMs []*arch.DIMM }
 
-// Table2 reproduces the Table 2 inventory from the DIMM profiles.
-func Table2(cfg Config) *Table2Result { return runSpec[*Table2Result](cfg, "table2") }
-
+// table2Spec reproduces the Table 2 inventory from the DIMM profiles.
 func table2Spec(Config) campaign.Spec {
 	return campaign.Spec{
 		Cells: []campaign.Cell{{Key: "inventory"}},
@@ -94,12 +90,10 @@ type Table3Row struct {
 // Table3Result compares barrier strategies on Alder and Raptor Lake.
 type Table3Result struct{ Rows []Table3Row }
 
-// Table3 sweeps the best pattern under the six barrier strategies of
+// table3Spec sweeps the best pattern under the six barrier strategies of
 // the paper: no barrier, CPUID, MFENCE, LFENCE with loads, LFENCE with
 // prefetches, and ρHammer's NOP pseudo-barrier — all with control-flow
 // obfuscation enabled, as in the paper.
-func Table3(cfg Config) *Table3Result { return runSpec[*Table3Result](cfg, "table3") }
-
 func table3Spec(cfg Config) campaign.Spec {
 	budget := campaign.Budget{
 		Locations:  cfg.scaled(8, 3),
@@ -161,11 +155,9 @@ type Table4Row struct {
 // Table4Result reports the recovered DRAM address mappings.
 type Table4Result struct{ Rows []Table4Row }
 
-// Table4 runs Algorithm 1 against every platform family and DIMM
+// table4Spec runs Algorithm 1 against every platform family and DIMM
 // geometry of the paper's Table 4 and verifies the results against the
 // ground-truth mappings.
-func Table4(cfg Config) *Table4Result { return runSpec[*Table4Result](cfg, "table4") }
-
 func table4Spec(Config) campaign.Spec {
 	var cells []campaign.Cell
 	for _, c := range []struct {
@@ -243,10 +235,6 @@ type Table5Cell struct {
 // Table5Result compares reverse-engineering tools across architectures.
 type Table5Result struct{ Cells []Table5Cell }
 
-// Table5 runs each tool `runs` times per architecture (the paper uses
-// 50 independent runs) and reports accuracy and mean runtime.
-func Table5(cfg Config) *Table5Result { return runSpec[*Table5Result](cfg, "table5") }
-
 // reverseTool maps a Table 5 tool name to its recovery entry point.
 func reverseTool(name string) func(*timing.Measurer, *mem.Pool) reverse.Result {
 	switch name {
@@ -269,6 +257,8 @@ func reverseTool(name string) func(*timing.Measurer, *mem.Pool) reverse.Result {
 	}
 }
 
+// table5Spec runs each tool `runs` times per architecture (the paper uses
+// 50 independent runs) and reports accuracy and mean runtime.
 func table5Spec(cfg Config) campaign.Spec {
 	budget := campaign.Budget{Runs: cfg.scaled(6, 3)}
 	var cells []campaign.Cell
@@ -351,11 +341,6 @@ type Table6Cell struct {
 // Table6Result is the 2-hour fuzzing matrix.
 type Table6Result struct{ Cells []Table6Cell }
 
-// Table6 runs the fuzzing campaign for every architecture, DIMM and
-// strategy combination. The paper's 2-hour budget is represented by a
-// scaled number of candidate patterns.
-func Table6(cfg Config) *Table6Result { return runSpec[*Table6Result](cfg, "table6") }
-
 // strategies enumerates the Table 6 columns for one architecture.
 func strategies(a *arch.Arch) []struct {
 	label string
@@ -372,6 +357,9 @@ func strategies(a *arch.Arch) []struct {
 	}
 }
 
+// table6Spec runs the fuzzing campaign for every architecture, DIMM and
+// strategy combination. The paper's 2-hour budget is represented by a
+// scaled number of candidate patterns.
 func table6Spec(cfg Config) campaign.Spec {
 	budget := campaign.Budget{
 		Patterns:   cfg.scaled(10, 5),

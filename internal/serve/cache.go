@@ -9,7 +9,7 @@ var (
 )
 
 // cacheKey identifies a completed result. Campaign outputs are pure
-// functions of (spec, seed, scale) — parallelism never changes result
+// functions of (spec, seed, scale) — placement never changes result
 // bytes (pinned by the determinism tests) — so those three fields are
 // the whole key. Inline specs are never cached: their identity is the
 // request body, not a registry name.

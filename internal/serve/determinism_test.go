@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"net/http"
-	"strconv"
 	"testing"
 
 	"rhohammer/internal/experiments"
@@ -12,21 +11,21 @@ import (
 // TestHTTPResultMatchesCLIEnvelope pins the serving determinism
 // contract end to end on the real experiment registry: the result a
 // job produces over HTTP with seed S is byte-identical to what
-// `cmd/experiments -json -canon -only <spec> -seed S` writes (the CLI
-// calls exactly the RunOutcome + WriteCanonicalOutcomeJSON pair used
-// below), for every per-job parallelism and shard-pool size.
+// `cmd/experiments -json -only <spec> -seed S` writes (the CLI calls
+// exactly the RunOutcome + WriteEnvelope pair used below), for every
+// shard-pool size.
 func TestHTTPResultMatchesCLIEnvelope(t *testing.T) {
 	const spec, seed = "table2", 123
 
-	// The CLI path: registry build, Runner run, canonical envelope.
+	// The CLI path: registry build, pool run, canonical envelope.
 	cliBytes := func(workers int) []byte {
 		cfg := experiments.Config{Seed: seed, Scale: 1, Workers: workers}
-		res, out, err := experiments.RunOutcome(spec, cfg)
+		_, out, err := experiments.RunOutcome(spec, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := experiments.WriteCanonicalOutcomeJSON(&buf, spec, cfg, res, out); err != nil {
+		if err := experiments.WriteEnvelope(&buf, spec, cfg, out); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -35,20 +34,17 @@ func TestHTTPResultMatchesCLIEnvelope(t *testing.T) {
 
 	for _, shards := range []int{1, 3} {
 		_, ts := newTestServer(t, Config{Registry: experiments.Registry, Shards: shards})
-		for _, parallel := range []int{1, 2, 8} {
-			id := submit(t, ts, `{"spec":"`+spec+`","seed":123,"parallel":`+strconv.Itoa(parallel)+`}`)
-			st := waitTerminal(t, ts, id)
-			if st.State != StateDone {
-				t.Fatalf("shards=%d parallel=%d: job = %s (%s)", shards, parallel, st.State, st.Error)
-			}
-			code, got := fetch(t, ts.URL+st.ResultURL)
-			if code != http.StatusOK {
-				t.Fatalf("GET result = %d", code)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("shards=%d parallel=%d: HTTP envelope differs from CLI envelope\n got: %s\nwant: %s",
-					shards, parallel, got, want)
-			}
+		id := submit(t, ts, `{"spec":"`+spec+`","seed":123}`)
+		st := waitTerminal(t, ts, id)
+		if st.State != StateDone || st.Cached {
+			t.Fatalf("shards=%d: job = %s cached=%v (%s)", shards, st.State, st.Cached, st.Error)
+		}
+		code, got := fetch(t, ts.URL+st.ResultURL)
+		if code != http.StatusOK {
+			t.Fatalf("GET result = %d", code)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("shards=%d: HTTP envelope differs from CLI envelope\n got: %s\nwant: %s", shards, got, want)
 		}
 	}
 

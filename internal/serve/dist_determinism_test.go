@@ -16,14 +16,13 @@ import (
 // standalone or on a coordinator with 1, 2 or 4 worker nodes. Cell
 // seeds derive from stable keys, results travel the wire losslessly
 // (gob), and the coordinator's merge is the same AssembleOutcome +
-// WriteCanonicalOutcomeJSON path a local run uses — so placement can
-// never leak into the bytes.
+// WriteEnvelope path a local run uses — so placement can never leak
+// into the bytes.
 func TestNodeCountDeterminism(t *testing.T) {
 	const body = `{"spec":"tiny","seed":123}`
 	reg := tinyRegistry()
 
-	// Standalone: the whole grid runs in-process (on the shared
-	// pool — parallel is unset).
+	// Standalone: the whole grid runs in-process, on the shared pool.
 	want := standaloneEnvelope(t, reg, body)
 
 	for _, nodes := range []int{1, 2, 4} {

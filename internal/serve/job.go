@@ -40,7 +40,6 @@ type Job struct {
 	SpecName string
 	Seed     int64
 	Scale    float64
-	Parallel int
 
 	state    State
 	err      string
@@ -97,11 +96,10 @@ type Job struct {
 	cellNodes []string
 
 	// result holds the canonical envelope (scheduling noise zeroed),
-	// resultTimed the as-executed envelope (?timings=1), manifest the
-	// per-job obs manifest. All are set exactly once, at completion.
-	result      []byte
-	resultTimed []byte
-	manifest    []byte
+	// manifest the per-job obs manifest with the run's timings. Both
+	// are set exactly once, at completion.
+	result   []byte
+	manifest []byte
 	// trace holds the job's per-session obs trace dump (JSONL, capture
 	// format), captured while the job ran and served at
 	// GET /v1/jobs/{id}/trace. Empty for cached and replay jobs, which
@@ -111,10 +109,10 @@ type Job struct {
 
 // newJob builds a queued job over spec, with its merge arrays sized to
 // the grid and every cell's stat prefilled with its key and seed.
-func newJob(name string, spec campaign.Spec, seed int64, scale float64, parallel int) *Job {
+func newJob(name string, spec campaign.Spec, seed int64, scale float64) *Job {
 	n := len(spec.Cells)
 	j := &Job{
-		SpecName: name, Seed: seed, Scale: scale, Parallel: parallel,
+		SpecName: name, Seed: seed, Scale: scale,
 		state: StateQueued, created: time.Now(), spec: spec,
 		results:   make([]any, n),
 		cellStats: make([]campaign.CellStat, n),
@@ -128,12 +126,11 @@ func newJob(name string, spec campaign.Spec, seed int64, scale float64, parallel
 
 // jobStatus is the GET /v1/jobs/{id} response body.
 type jobStatus struct {
-	ID       string  `json:"id"`
-	Spec     string  `json:"spec"`
-	State    State   `json:"state"`
-	Seed     int64   `json:"seed"`
-	Scale    float64 `json:"scale"`
-	Parallel int     `json:"parallel,omitempty"`
+	ID    string  `json:"id"`
+	Spec  string  `json:"spec"`
+	State State   `json:"state"`
+	Seed  int64   `json:"seed"`
+	Scale float64 `json:"scale"`
 
 	Created  string `json:"created"`
 	Started  string `json:"started,omitempty"`
@@ -161,7 +158,6 @@ func (j *Job) status() jobStatus {
 		State:      j.state,
 		Seed:       j.Seed,
 		Scale:      j.Scale,
-		Parallel:   j.Parallel,
 		Created:    j.created.UTC().Format(time.RFC3339Nano),
 		CellsTotal: max(len(j.spec.Cells), j.cellsTotal),
 		CellsDone:  j.cellsDone,

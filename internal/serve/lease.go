@@ -122,12 +122,10 @@ type leaseCell struct {
 	Key   string `json:"key"`
 }
 
-// acquireRequest is the POST /v1/leases body.
+// acquireRequest is the POST /v1/leases body. The grant's batch size
+// is the coordinator's LeaseBatch alone.
 type acquireRequest struct {
 	Worker string `json:"worker"`
-	// MaxCells caps the batch; 0 means the coordinator's default. The
-	// grant never exceeds the coordinator's own batch bound.
-	MaxCells int `json:"max_cells,omitempty"`
 }
 
 // leaseGrant is the POST /v1/leases success body: everything a worker
@@ -396,10 +394,6 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "\"worker\" is required (POST /v1/workers first)"})
 		return
 	}
-	batch := req.MaxCells
-	if batch <= 0 || batch > s.cfg.LeaseBatch {
-		batch = s.cfg.LeaseBatch
-	}
 	now := time.Now()
 
 	s.mu.Lock()
@@ -427,7 +421,7 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	cells := s.popPendingLocked(dj, batch)
+	cells := s.popPendingLocked(dj, s.cfg.LeaseBatch)
 	s.leaseSeq++
 	l := &lease{
 		id:      fmt.Sprintf("lease-%06d", s.leaseSeq),

@@ -73,12 +73,11 @@ func (s *Server) recoverState(state *store.State) {
 		s.bumpSeqLocked(snap.ID)
 		s.retainLocked(&Job{
 			ID: snap.ID, SpecName: snap.Spec, Seed: snap.Seed, Scale: snap.Scale,
-			Parallel: snap.Parallel,
-			state:    State(snap.State), err: snap.Error,
+			state: State(snap.State), err: snap.Error,
 			cacheable: true, persisted: true, recovered: true,
 			created: snap.Created, started: snap.Started, finished: snap.Finished,
 			cellsTotal: snap.CellsTotal, cellsDone: snap.CellsDone,
-			result: snap.Canonical, resultTimed: snap.Timed, manifest: snap.Manifest,
+			result: snap.Canonical, manifest: snap.Manifest,
 		})
 	}
 	for len(s.done) > s.cfg.Retain {
@@ -95,8 +94,7 @@ func (s *Server) recoverState(state *store.State) {
 			log.Printf("serve: store recovery: job %s names spec %q absent from the registry; failing it (other jobs recover)",
 				sj.Meta.ID, sj.Meta.Spec)
 			j := &Job{
-				ID: sj.Meta.ID, SpecName: sj.Meta.Spec, Seed: sj.Meta.Seed,
-				Scale: sj.Meta.Scale, Parallel: sj.Meta.Parallel,
+				ID: sj.Meta.ID, SpecName: sj.Meta.Spec, Seed: sj.Meta.Seed, Scale: sj.Meta.Scale,
 				persisted: true, recovered: true, journaled: true,
 				created:   sj.Meta.Created,
 				cellsDone: len(sj.Cells),
@@ -106,7 +104,7 @@ func (s *Server) recoverState(state *store.State) {
 			continue
 		}
 		spec := entry.Build(campaign.Params{Seed: sj.Meta.Seed, Scale: sj.Meta.Scale})
-		j := newJob(sj.Meta.Spec, spec, sj.Meta.Seed, sj.Meta.Scale, sj.Meta.Parallel)
+		j := newJob(sj.Meta.Spec, spec, sj.Meta.Seed, sj.Meta.Scale)
 		j.ID, j.created = sj.Meta.ID, sj.Meta.Created
 		j.cacheable, j.distributable, j.persisted, j.recovered, j.journaled = true, true, true, true, true
 		// Prefill the merge arrays from the journal: runJob runs or
@@ -179,7 +177,7 @@ func (s *Server) persistAdmitLocked(j *Job) {
 	}
 	err := s.store.AppendJob(store.JobMeta{
 		ID: j.ID, Spec: j.SpecName, Seed: j.Seed, Scale: j.Scale,
-		Parallel: j.Parallel, Created: j.created,
+		Created: j.created,
 	})
 	if err != nil {
 		j.persisted = false
@@ -226,11 +224,11 @@ func (s *Server) persistTerminalLocked(j *Job) {
 		return
 	}
 	snap := &store.Snapshot{
-		ID: j.ID, Spec: j.SpecName, Seed: j.Seed, Scale: j.Scale, Parallel: j.Parallel,
+		ID: j.ID, Spec: j.SpecName, Seed: j.Seed, Scale: j.Scale,
 		State: string(j.state), Error: j.err,
 		CellsTotal: max(len(j.spec.Cells), j.cellsTotal), CellsDone: j.cellsDone,
 		Created: j.created, Started: j.started, Finished: j.finished,
-		Canonical: j.result, Timed: j.resultTimed, Manifest: j.manifest,
+		Canonical: j.result, Manifest: j.manifest,
 	}
 	if err := s.store.WriteSnapshot(snap); err != nil {
 		if !j.journaled {

@@ -22,10 +22,6 @@ type replayRequest struct {
 	// Session selects one session of a multi-session capture dump —
 	// e.g. one cell of a GET /v1/jobs/{id}/trace body.
 	Session string `json:"session,omitempty"`
-	// Parallel is accepted for symmetry with POST /v1/jobs; a replay is
-	// one cell, so it never changes anything but the envelope's
-	// as-executed metadata.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // handleReplay admits a trace-replay job: the body's trace is decoded
@@ -61,7 +57,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec := replay.Spec(f)
-	j := newJob(spec.Name, spec, spec.Seed, 1, req.Parallel)
+	j := newJob(spec.Name, spec, spec.Seed, 1)
 	// The spec name embeds the trace content hash (which covers the
 	// resolved DIMM and seed), so the (spec, seed, scale) cache key is
 	// collision-free and replay jobs participate in the result cache

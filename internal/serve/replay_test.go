@@ -69,8 +69,8 @@ func TestReplayEndpointDeterministicAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	cfg := experiments.Config{Seed: f.Seed, Scale: 1, Workers: 1}
-	if err := experiments.WriteCanonicalOutcomeJSON(&want, spec.Name, cfg, out.Result, out); err != nil {
+	cfg := experiments.Config{Seed: f.Seed, Scale: 1}
+	if err := experiments.WriteEnvelope(&want, spec.Name, cfg, out); err != nil {
 		t.Fatal(err)
 	}
 

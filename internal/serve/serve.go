@@ -5,16 +5,16 @@
 // A Server wraps a campaign Registry behind a small job API
 // (cmd/serverd is the binary; API.md is the wire contract). Clients
 // POST a job — a registered spec name or an inline cell grid, plus
-// seed/scale/parallel — and poll it to completion; the result endpoint
+// seed and scale — and poll it to completion; the result endpoint
 // serves the canonical JSON envelope, byte-identical to
-// `experiments -json -canon -only <spec>` at the same seed and scale,
-// for any shard-pool size and any per-job parallelism. Determinism is
-// inherited from internal/campaign (per-cell seeds derive from stable
-// keys) and pinned by this package's tests.
+// `experiments -json -only <spec>` at the same seed and scale, for any
+// shard-pool size. Placement is the server's decision alone, so no
+// request names a worker count. Determinism is inherited from
+// internal/campaign (per-cell seeds derive from stable keys) and
+// pinned by this package's tests.
 //
 // Every job runs through one pipeline: the cells it still lacks a
-// result for execute on a local campaign.Pool — the server's shared
-// one, or a job-private one when the job pins parallel — or, on a
+// result for execute on the server's one shared campaign.Pool or, on a
 // coordinator, are leased to worker nodes; campaign.AssembleOutcome
 // merges the grid either way. Capacity is bounded at two levels:
 // Shards jobs execute concurrently and at most QueueDepth more wait.
@@ -25,7 +25,9 @@
 // waits for everything admitted to finish (SIGTERM in serverd), and
 // completed jobs are retained up to a bound, oldest-evicted-first; the
 // retained done jobs double as the result cache. Every finished job
-// carries an obs run manifest recording exactly what executed.
+// carries an obs run manifest recording exactly what executed — its
+// workers, wall time and per-cell wall times, which the canonical
+// envelope leaves out.
 package serve
 
 import (
@@ -66,9 +68,8 @@ type Config struct {
 	Registry *campaign.Registry
 	// Shards is the number of jobs executing concurrently. Their cells
 	// interleave on one shared campaign.Pool of Shards×GOMAXPROCS
-	// workers, so a small grid never serializes behind a large one; a
-	// job that pins parallel runs on a private pool of that size
-	// instead. Default 2.
+	// workers, so a small grid never serializes behind a large one.
+	// Default 2.
 	Shards int
 	// QueueDepth bounds the number of admitted-but-not-running jobs.
 	// Default 16.
@@ -77,7 +78,7 @@ type Config struct {
 	// beyond it the oldest-finished job is evicted. The retained done
 	// jobs are also the result cache: resubmitting a registered spec at
 	// a (seed, scale) one of them ran yields a job born done with its
-	// envelopes, without re-running the campaign (results are
+	// envelope, without re-running the campaign (results are
 	// deterministic, so the bytes are identical). Inline specs bypass
 	// the cache. Default 64.
 	Retain int
@@ -108,7 +109,8 @@ type Config struct {
 	// LeaseTTL is how long a granted lease lives without a renewal
 	// before its cells are reclaimed and re-leased. Default 10s.
 	LeaseTTL time.Duration
-	// LeaseBatch caps the cells granted per lease. Default 4.
+	// LeaseBatch caps the cells granted per lease; it is the one batch
+	// bound, since workers ask for no size. Default 4.
 	LeaseBatch int
 	// StoreDir, when non-empty, enables the durable job store
 	// (internal/store, OPERATIONS.md): registered-spec jobs journal
@@ -163,8 +165,8 @@ type Server struct {
 	// cacheable (spec, seed, scale).
 	results map[cacheKey]*Job
 
-	// pool is the shared cell scheduler for jobs without an explicit
-	// parallel value.
+	// pool is the shared cell scheduler every locally run cell goes
+	// through.
 	pool *campaign.Pool
 
 	// store is the durable job store; nil without Config.StoreDir.
@@ -457,25 +459,19 @@ func (s *Server) runJob(j *Job) {
 	case err != nil:
 		state, errText = StateFailed, err.Error()
 	default:
-		cfg := experiments.Config{Seed: j.Seed, Scale: j.Scale, Workers: j.Parallel}
-		var canon, timed bytes.Buffer
-		encErr := experiments.WriteCanonicalOutcomeJSON(&canon, j.SpecName, cfg, out.Result, out)
-		if encErr == nil {
-			encErr = experiments.WriteOutcomeJSON(&timed, j.SpecName, cfg, out.Result, out)
-		}
-		if encErr != nil {
+		var env bytes.Buffer
+		cfg := experiments.Config{Seed: j.Seed, Scale: j.Scale}
+		if encErr := experiments.WriteEnvelope(&env, j.SpecName, cfg, out); encErr != nil {
 			state, errText = StateFailed, encErr.Error()
 			break
 		}
-		j.result = canon.Bytes()
-		j.resultTimed = timed.Bytes()
+		j.result = env.Bytes()
 	}
 	s.terminateLocked(j, state, errText, out)
 }
 
-// runLocal executes the missing cells in this process: on the shared
-// pool, or on a private pool of Parallel workers when the job pinned
-// one. Each cell's result and stat land in the job as the cell
+// runLocal executes the missing cells in this process, on the shared
+// pool. Each cell's result and stat land in the job as the cell
 // finishes — journaled first when the job is persisted, so the status
 // never counts a cell a restart would have to re-run. Returns the pool
 // size; the error is the pool's refusal to run at all.
@@ -499,13 +495,7 @@ func (s *Server) runLocal(ctx context.Context, j *Job, missing []int) (int, erro
 		j.cellsDone++
 		s.mu.Unlock()
 	}}
-	var out *campaign.Outcome
-	var err error
-	if j.Parallel > 0 {
-		out, err = campaign.Run(ctx, sub, j.Parallel, opts)
-	} else {
-		out, err = s.pool.RunContext(ctx, sub, opts)
-	}
+	out, err := s.pool.RunContext(ctx, sub, opts)
 	if out == nil {
 		return 0, err
 	}
@@ -567,7 +557,7 @@ func (s *Server) attachManifestLocked(j *Job, out *campaign.Outcome) {
 	}
 	m := obs.NewManifest("serverd", labels)
 	m.Date = j.finished.UTC().Format(time.RFC3339)
-	m.Seed, m.Scale, m.Workers = j.Seed, j.Scale, j.Parallel
+	m.Seed, m.Scale = j.Seed, j.Scale
 	rec := obs.RunRecord{Name: j.SpecName, Err: j.err}
 	if out != nil {
 		rec.WallNS = int64(out.Wall)
@@ -621,12 +611,9 @@ type jobRequest struct {
 	// Exactly one must be set.
 	Spec   string      `json:"spec,omitempty"`
 	Inline *InlineSpec `json:"inline,omitempty"`
-	// Seed defaults to the server's DefaultSeed, Scale to 1. Parallel
-	// (0 = the shared cell pool, N > 0 = a private pool of N workers)
-	// never changes result bytes.
-	Seed     *int64  `json:"seed,omitempty"`
-	Scale    float64 `json:"scale,omitempty"`
-	Parallel int     `json:"parallel,omitempty"`
+	// Seed defaults to the server's DefaultSeed, Scale to 1.
+	Seed  *int64  `json:"seed,omitempty"`
+	Scale float64 `json:"scale,omitempty"`
 }
 
 // jobAccepted is the POST /v1/jobs success body.
@@ -685,7 +672,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j := newJob(name, spec, seed, scale, req.Parallel)
+	j := newJob(name, spec, seed, scale)
 	j.cacheable = req.Inline == nil
 	// Only registry-built jobs can execute on worker nodes: a worker
 	// rebuilds the spec from (name, seed, scale) against its own
@@ -712,7 +699,7 @@ func (s *Server) admit(w http.ResponseWriter, j *Job) {
 	if j.cacheable {
 		if hit := s.results[j.cacheKey()]; hit != nil {
 			// Cache hit: the job is born done, serving the retained job's
-			// envelopes without consuming queue or shard capacity. Its
+			// envelope without consuming queue or shard capacity. Its
 			// snapshot, written before the 202, is its only record.
 			s.seq++
 			j.ID = fmt.Sprintf("job-%06d", s.seq)
@@ -720,7 +707,6 @@ func (s *Server) admit(w http.ResponseWriter, j *Job) {
 			j.started = j.created
 			j.cellsDone = len(j.spec.Cells)
 			j.result = hit.result
-			j.resultTimed = hit.resultTimed
 			s.terminateLocked(j, StateDone, "", nil)
 			s.mu.Unlock()
 			jobsAccepted.Inc()
@@ -781,12 +767,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	s.mu.Lock()
-	state, errText := j.state, j.err
-	body := j.result
-	if r.URL.Query().Get("timings") == "1" {
-		body = j.resultTimed
+	// The envelope has one form, so any query — such as the timings
+	// query older servers answered — would be a knob that does nothing.
+	if r.URL.RawQuery != "" {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "the result route takes no query parameters (run timings are in the manifest)"})
+		return
 	}
+	s.mu.Lock()
+	state, errText, body := j.state, j.err, j.result
 	s.mu.Unlock()
 	switch {
 	case state == StateDone:

@@ -3,11 +3,15 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,7 +254,7 @@ func TestJobLifecycleAndResultEnvelope(t *testing.T) {
 	reg := tinyRegistry()
 	_, ts := newTestServer(t, Config{Registry: reg})
 
-	id := submit(t, ts, `{"spec":"tiny","seed":7,"parallel":2}`)
+	id := submit(t, ts, `{"spec":"tiny","seed":7}`)
 	st := waitTerminal(t, ts, id)
 	if st.State != StateDone {
 		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
@@ -275,8 +279,7 @@ func TestJobLifecycleAndResultEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	cfg := experiments.Config{Seed: 7, Scale: 1, Workers: 2}
-	if err := experiments.WriteCanonicalOutcomeJSON(&want, "tiny", cfg, out.Result, out); err != nil {
+	if err := experiments.WriteEnvelope(&want, "tiny", experiments.Config{Seed: 7, Scale: 1}, out); err != nil {
 		t.Fatal(err)
 	}
 	code, got := fetch(t, ts.URL+st.ResultURL)
@@ -286,21 +289,13 @@ func TestJobLifecycleAndResultEnvelope(t *testing.T) {
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("served envelope differs from direct campaign.Run envelope:\n got: %s\nwant: %s", got, want.Bytes())
 	}
-
-	// ?timings=1 keeps the envelope shape but restores scheduling data.
-	code, timed := fetch(t, ts.URL+st.ResultURL+"?timings=1")
-	if code != http.StatusOK {
-		t.Fatalf("GET result?timings=1 = %d", code)
-	}
-	var env experiments.Envelope
-	if err := json.Unmarshal(timed, &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Workers != 2 || env.Experiment != "tiny" {
-		t.Errorf("timed envelope: workers=%d experiment=%q", env.Workers, env.Experiment)
+	// The envelope has one form, so the route refuses any query.
+	if code, _ := fetch(t, ts.URL+st.ResultURL+"?timings=true"); code != http.StatusBadRequest {
+		t.Errorf("GET result with a query = %d, want 400", code)
 	}
 
-	// The manifest records the run: one RunRecord with all four cells.
+	// The manifest records the run: one RunRecord with all four cells,
+	// the shared pool's workers, the run's wall time and every cell's.
 	code, mdata := fetch(t, ts.URL+st.ManifestURL)
 	if code != http.StatusOK {
 		t.Fatalf("GET manifest = %d", code)
@@ -310,7 +305,33 @@ func TestJobLifecycleAndResultEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Tool != "serverd" || len(m.Runs) != 1 || len(m.Runs[0].Cells) != 4 || m.Seed != 7 {
-		t.Errorf("manifest = tool %q, %d runs, seed %d", m.Tool, len(m.Runs), m.Seed)
+		t.Fatalf("manifest = tool %q, %d runs, seed %d", m.Tool, len(m.Runs), m.Seed)
+	}
+	run := m.Runs[0]
+	if want := 2 * runtime.GOMAXPROCS(0); run.Name != "tiny" || run.Workers != want || run.WallNS <= 0 {
+		t.Errorf("manifest run = %s, %d workers, wall %dns; want tiny on the %d-worker shared pool", run.Name, run.Workers, run.WallNS, want)
+	}
+	for _, c := range run.Cells {
+		if c.WallNS <= 0 || c.Seed == 0 {
+			t.Errorf("manifest cell %s: wall %dns, seed %d", c.Key, c.WallNS, c.Seed)
+		}
+	}
+}
+
+// TestRetiredRequestFieldsRejected: placement is the server's alone,
+// so a job or replay body that still names a worker count gets the
+// unknown-field 400 rather than being ignored.
+func TestRetiredRequestFieldsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Registry: tinyRegistry()})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/jobs", `{"spec":"tiny","parallel":2}`},
+		{"/v1/replay", `{"trace":"x","parallel":1}`},
+	} {
+		var e apiError
+		code, _ := doJSON(t, "POST", ts.URL+c.path, c.body, &e)
+		if code != http.StatusBadRequest || !strings.Contains(e.Error, "unknown field") {
+			t.Errorf("POST %s %s = %d %q, want 400 unknown field", c.path, c.body, code, e.Error)
+		}
 	}
 }
 
@@ -376,7 +397,7 @@ func TestCancelQueuedJob(t *testing.T) {
 func TestCancelMidRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{Registry: slowRegistry(60, 10*time.Millisecond), Shards: 1})
 
-	id := submit(t, ts, `{"spec":"slow","parallel":2}`)
+	id := submit(t, ts, `{"spec":"slow"}`)
 	// Let a few cells complete before cancelling.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -512,12 +533,59 @@ func TestLocalCellsJournaledAcrossCrash(t *testing.T) {
 	}
 }
 
+// parentJournalCell computes cell i of the spec's grid at the given
+// seed and returns it as the journal's cell record would carry it.
+func parentJournalCell(t *testing.T, reg *campaign.Registry, name string, seed int64, i int) store.CellResult {
+	t.Helper()
+	entry, _ := reg.Lookup(name)
+	spec := entry.Build(campaign.Params{Seed: seed, Scale: 1})
+	c := spec.Cells[i]
+	cellSeed := spec.CellSeed(c.Key)
+	result, err := spec.Exec(c, cellSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := campaign.EncodeResult(result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store.CellResult{
+		Index: i, Key: c.Key, Result: data,
+		Stat: campaign.CellStat{Key: c.Key, Seed: cellSeed, Attempts: 1},
+	}
+}
+
+// writeParentJournal writes dir's journal as raw lines in the format of
+// a server that still took per-job parallelism: the job record carries
+// "parallel", which that format wrote for every job. cells follow as
+// cell records. No snapshot exists, so the job is in flight.
+func writeParentJournal(t *testing.T, dir, id, spec string, seed int64, parallel int, cells ...store.CellResult) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(`{"kind":"header","version":"v1"}` + "\n")
+	fmt.Fprintf(&b, `{"kind":"job","id":%q,"spec":%q,"seed":%d,"scale":1,"parallel":%d,"created_ns":42}`+"\n",
+		id, spec, seed, parallel)
+	for _, c := range cells {
+		stat, err := json.Marshal(c.Stat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, `{"kind":"cell","job":%q,"index":%d,"key":%q,"stat":%s,"result":%q}`+"\n",
+			id, c.Index, c.Key, stat, base64.StdEncoding.EncodeToString(c.Result))
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoveredJobWithEveryCellJournaled: a crash after a job's last
 // cell is journaled but before its done record leaves nothing to run
 // on restart. The restarted server must still finish the job with the
-// uninterrupted envelope, executing no cell — on the shared pool and on
-// a pinned private pool. The spec gathers results[0], as the registered
-// one-cell experiments do, so a Gather over an empty sub-grid panics.
+// uninterrupted envelope, executing no cell, whatever parallelism the
+// job record names (journals from servers that took a per-job
+// parallel value carry it; it no longer chooses a pool). The spec
+// gathers results[0], as the registered one-cell experiments do, so a
+// Gather over an empty sub-grid panics.
 func TestRecoveredJobWithEveryCellJournaled(t *testing.T) {
 	for _, parallel := range []int{0, 2} {
 		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
@@ -537,37 +605,11 @@ func TestRecoveredJobWithEveryCellJournaled(t *testing.T) {
 					}
 				},
 			})
-			want := standaloneEnvelope(t, reg, fmt.Sprintf(`{"spec":"single","seed":7,"parallel":%d}`, parallel))
+			want := standaloneEnvelope(t, reg, `{"spec":"single","seed":7}`)
 
 			dir := t.TempDir()
-			st, _, err := store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
 			const id = "job-000003"
-			if err := st.AppendJob(store.JobMeta{
-				ID: id, Spec: "single", Seed: 7, Scale: 1, Parallel: parallel, Created: time.Unix(0, 42).UTC(),
-			}); err != nil {
-				t.Fatal(err)
-			}
-			entry, _ := reg.Lookup("single")
-			spec := entry.Build(campaign.Params{Seed: 7, Scale: 1})
-			seed := spec.CellSeed("only")
-			result, _ := spec.Exec(spec.Cells[0], seed)
-			data, err := campaign.EncodeResult(result)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.AppendCell(id, store.CellResult{
-				Index: 0, Key: "only",
-				Stat:   campaign.CellStat{Key: "only", Seed: seed, Attempts: 1},
-				Result: data,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
+			writeParentJournal(t, dir, id, "single", 7, parallel, parentJournalCell(t, reg, "single", 7, 0))
 
 			execs.Store(0)
 			_, ts := newTestServer(t, Config{Registry: reg, StoreDir: dir})
@@ -582,6 +624,51 @@ func TestRecoveredJobWithEveryCellJournaled(t *testing.T) {
 				t.Errorf("resumed result = %d, equal to uninterrupted %v", code, bytes.Equal(body, want))
 			}
 		})
+	}
+}
+
+// TestParentJournalResumesOnSharedPool opens a journal written by a
+// server that still took per-job parallelism: its job record pins
+// "parallel":3 and two of the four cells are journaled. The job must
+// resume on the shared pool, re-running only the two unjournaled
+// cells, and serve the uninterrupted envelope; its status no longer
+// names a parallelism.
+func TestParentJournalResumesOnSharedPool(t *testing.T) {
+	open := make(chan struct{})
+	close(open)
+	want := standaloneEnvelope(t, gatedRegistry(open, func(string) {}), `{"spec":"gated","seed":7}`)
+
+	var mu sync.Mutex
+	reran := map[string]int{}
+	reg := gatedRegistry(open, func(key string) {
+		mu.Lock()
+		reran[key]++
+		mu.Unlock()
+	})
+	dir := t.TempDir()
+	const id = "job-000005"
+	writeParentJournal(t, dir, id, "gated", 7, 3,
+		parentJournalCell(t, reg, "gated", 7, 0), parentJournalCell(t, reg, "gated", 7, 1))
+	mu.Lock()
+	clear(reran) // the fixture's own executions
+	mu.Unlock()
+
+	_, ts := newTestServer(t, Config{Registry: reg, StoreDir: dir})
+	fin := waitTerminal(t, ts, id)
+	if fin.State != StateDone || !fin.Recovered || fin.CellsDone != 4 {
+		t.Fatalf("resumed job = %+v, want recovered done job with 4 cells", fin)
+	}
+	mu.Lock()
+	got := fmt.Sprint(reran)
+	mu.Unlock()
+	if got != "map[c:1 d:1]" {
+		t.Errorf("restart executed %s, want only the unjournaled cells c and d, once each", got)
+	}
+	if code, body := fetch(t, ts.URL+fin.ResultURL); code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Errorf("resumed result = %d, equal to uninterrupted %v", code, bytes.Equal(body, want))
+	}
+	if _, body := fetch(t, ts.URL+"/v1/jobs/"+id); bytes.Contains(body, []byte(`"parallel"`)) {
+		t.Errorf("status still names a parallelism: %s", body)
 	}
 }
 

@@ -38,11 +38,9 @@ type Worker struct {
 	// manifests. Optional.
 	Name string
 	// Parallel sizes the worker's campaign.Pool, which runs every leased
-	// batch for the worker's whole lifetime (0 = GOMAXPROCS).
+	// batch for the worker's whole lifetime (0 = GOMAXPROCS). Batch
+	// size is the coordinator's LeaseBatch alone.
 	Parallel int
-	// MaxCells caps the batch requested per lease; 0 defers to the
-	// coordinator's bound.
-	MaxCells int
 	// Poll is how long to sleep when the coordinator has no work.
 	// Default 200ms.
 	Poll time.Duration
@@ -150,7 +148,7 @@ func (w *Worker) register(ctx context.Context) error {
 // acquire performs POST /v1/leases; nil grant means no work (204).
 func (w *Worker) acquire(ctx context.Context) (*leaseGrant, error) {
 	var grant leaseGrant
-	code, err := w.call(ctx, "POST", "/v1/leases", acquireRequest{Worker: w.ID(), MaxCells: w.MaxCells}, &grant)
+	code, err := w.call(ctx, "POST", "/v1/leases", acquireRequest{Worker: w.ID()}, &grant)
 	if err != nil {
 		return nil, err
 	}

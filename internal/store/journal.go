@@ -62,7 +62,7 @@ func (e *DecodeError) Error() string {
 // retention eviction:
 //
 //	{"kind":"header","version":"v1"}
-//	{"kind":"job","id":...,"spec":...,"seed":...,"scale":...,"parallel":...,"created_ns":...}
+//	{"kind":"job","id":...,"spec":...,"seed":...,"scale":...,"created_ns":...}
 //	{"kind":"cell","job":...,"index":...,"key":...,"node":...,"stat":{...},"result":"<base64 gob>"}
 //	{"kind":"done","job":...,"state":...,"error":...}
 //
@@ -70,7 +70,9 @@ func (e *DecodeError) Error() string {
 // re-applies the same metadata, a duplicated cell record overwrites the
 // same index with the same bytes, a duplicated done record re-marks the
 // same eviction. Replaying a journal twice therefore yields the same
-// state as replaying it once.
+// state as replaying it once. Job records written before per-job
+// parallelism was retired also carry a "parallel" key between scale
+// and created_ns; replay accepts and ignores it.
 
 type headerRecord struct {
 	Kind    string `json:"kind"`
@@ -78,13 +80,15 @@ type headerRecord struct {
 }
 
 type jobRecord struct {
-	Kind      string  `json:"kind"`
-	ID        string  `json:"id"`
-	Spec      string  `json:"spec"`
-	Seed      int64   `json:"seed"`
-	Scale     float64 `json:"scale"`
-	Parallel  int     `json:"parallel"`
-	CreatedNS int64   `json:"created_ns"`
+	Kind  string  `json:"kind"`
+	ID    string  `json:"id"`
+	Spec  string  `json:"spec"`
+	Seed  int64   `json:"seed"`
+	Scale float64 `json:"scale"`
+	// Parallel is read-only: the strict decode accepts the key older
+	// writers put here, and nothing sets it, so it is never written.
+	Parallel  int   `json:"parallel,omitempty"`
+	CreatedNS int64 `json:"created_ns"`
 }
 
 type cellRecord struct {
@@ -287,7 +291,7 @@ func (st *replayState) apply(line int, raw []byte) error {
 		}
 		j.Meta = JobMeta{
 			ID: r.ID, Spec: r.Spec, Seed: r.Seed, Scale: r.Scale,
-			Parallel: r.Parallel, Created: time.Unix(0, r.CreatedNS).UTC(),
+			Created: time.Unix(0, r.CreatedNS).UTC(),
 		}
 	case "cell":
 		r := &rec.cell

@@ -8,7 +8,7 @@
 // record followed by fsync, so the record is durable before the
 // transition is acknowledged anywhere else. A job reaching a terminal
 // state commits by its snapshot alone: snapshots/<job-id>.json holds
-// its canonical and timed envelopes plus manifest, written atomically
+// its canonical envelope plus manifest, written atomically
 // (temp file, fsync, rename). The done record is the eviction marker:
 // retention appends it and only then deletes the snapshot.
 //
@@ -54,12 +54,11 @@ const snapshotDirName = "snapshots"
 // JobMeta is the identity of one persisted job — everything needed to
 // rebuild it against the spec registry after a restart.
 type JobMeta struct {
-	ID       string
-	Spec     string
-	Seed     int64
-	Scale    float64
-	Parallel int
-	Created  time.Time
+	ID      string
+	Spec    string
+	Seed    int64
+	Scale   float64
+	Created time.Time
 }
 
 // CellResult is one durably completed cell: its grid index, stable
@@ -84,15 +83,16 @@ type Job struct {
 }
 
 // Snapshot is the durable form of one terminal job: enough to serve
-// GET /v1/jobs/{id}/status, /result (canonical and timed), and
-// /manifest after a restart without re-running anything.
+// GET /v1/jobs/{id}/status, /result and /manifest after a restart
+// without re-running anything. Snapshots written before the timed
+// envelope was retired also carry "parallel" and "timed" keys, which
+// decoding ignores.
 type Snapshot struct {
 	Version    string    `json:"version"`
 	ID         string    `json:"id"`
 	Spec       string    `json:"spec"`
 	Seed       int64     `json:"seed"`
 	Scale      float64   `json:"scale"`
-	Parallel   int       `json:"parallel"`
 	State      string    `json:"state"`
 	Error      string    `json:"error,omitempty"`
 	CellsTotal int       `json:"cells_total"`
@@ -100,11 +100,10 @@ type Snapshot struct {
 	Created    time.Time `json:"created"`
 	Started    time.Time `json:"started"`
 	Finished   time.Time `json:"finished"`
-	// Canonical and Timed are the result envelopes exactly as the serve
-	// layer would write them (base64 in the JSON encoding); Manifest is
-	// the obs run manifest. All optional: a canceled job has none.
+	// Canonical is the result envelope exactly as the serve layer
+	// writes it (base64 in the JSON encoding); Manifest is the obs run
+	// manifest. Both optional: a canceled job has no envelope.
 	Canonical []byte `json:"canonical,omitempty"`
-	Timed     []byte `json:"timed,omitempty"`
 	Manifest  []byte `json:"manifest,omitempty"`
 }
 
@@ -211,7 +210,7 @@ func (s *Store) Close() error {
 func (s *Store) AppendJob(m JobMeta) error {
 	return s.append(jobRecord{
 		Kind: "job", ID: m.ID, Spec: m.Spec, Seed: m.Seed, Scale: m.Scale,
-		Parallel: m.Parallel, CreatedNS: m.Created.UnixNano(),
+		CreatedNS: m.Created.UnixNano(),
 	})
 }
 
@@ -372,8 +371,7 @@ func writeCompacted(jpath string, jobs []*Job) error {
 		}
 		werr = write(jobRecord{
 			Kind: "job", ID: j.Meta.ID, Spec: j.Meta.Spec, Seed: j.Meta.Seed,
-			Scale: j.Meta.Scale, Parallel: j.Meta.Parallel,
-			CreatedNS: j.Meta.Created.UnixNano(),
+			Scale: j.Meta.Scale, CreatedNS: j.Meta.Created.UnixNano(),
 		})
 		idxs := make([]int, 0, len(j.Cells))
 		for i := range j.Cells {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"os"
@@ -28,7 +29,7 @@ func open(t *testing.T, dir string) (*Store, *State) {
 func seedJob(t *testing.T, st *Store, id string) {
 	t.Helper()
 	if err := st.AppendJob(JobMeta{
-		ID: id, Spec: "tiny", Seed: 42, Scale: 1, Parallel: 2,
+		ID: id, Spec: "tiny", Seed: 42, Scale: 1,
 		Created: time.Unix(0, 1000).UTC(),
 	}); err != nil {
 		t.Fatal(err)
@@ -62,7 +63,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("recovered %d in-flight jobs, want 1", len(state2.Jobs))
 	}
 	j := state2.Jobs[0]
-	want := JobMeta{ID: "job-000001", Spec: "tiny", Seed: 42, Scale: 1, Parallel: 2,
+	want := JobMeta{ID: "job-000001", Spec: "tiny", Seed: 42, Scale: 1,
 		Created: time.Unix(0, 1000).UTC()}
 	if !reflect.DeepEqual(j.Meta, want) {
 		t.Fatalf("recovered meta = %+v, want %+v", j.Meta, want)
@@ -88,7 +89,7 @@ func TestTerminalJobMovesToSnapshot(t *testing.T) {
 	st, _ := open(t, dir)
 	seedJob(t, st, "job-000001")
 	snap := &Snapshot{
-		ID: "job-000001", Spec: "tiny", Seed: 42, Scale: 1, Parallel: 2,
+		ID: "job-000001", Spec: "tiny", Seed: 42, Scale: 1,
 		State: "done", CellsDone: 2,
 		Created:   time.Unix(0, 1000).UTC(),
 		Finished:  time.Unix(0, 2000).UTC(),
@@ -121,6 +122,81 @@ func TestTerminalJobMovesToSnapshot(t *testing.T) {
 	}
 	if strings.Contains(string(data), "job-000001") {
 		t.Fatalf("compacted journal still mentions the terminal job:\n%s", data)
+	}
+}
+
+// TestParentFormatStoreOpens opens a store written before per-job
+// parallelism and the timed envelope were retired, as raw files: a job
+// record carrying "parallel" with one journaled cell, and a snapshot
+// carrying "parallel" and "timed". The job must recover in flight with
+// its cell, the snapshot must load with its canonical envelope and
+// manifest intact, and compaction must rewrite the job record without
+// the retired key.
+func TestParentFormatStoreOpens(t *testing.T) {
+	dir := t.TempDir()
+	res, err := campaign.EncodeResult("a#result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := `{"kind":"header","version":"v1"}` + "\n" +
+		`{"kind":"job","id":"job-000004","spec":"tiny","seed":42,"scale":1,"parallel":3,"created_ns":1000}` + "\n" +
+		`{"kind":"cell","job":"job-000004","index":0,"key":"a","stat":{"key":"a","seed":7,"wall_ns":1234,"attempts":1},"result":"` +
+		base64.StdEncoding.EncodeToString(res) + `"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	canonical, timed, manifest := []byte(`{"wall_ns":0}`), []byte(`{"workers":2}`), []byte(`{"tool":"serverd"}`)
+	b64 := base64.StdEncoding.EncodeToString
+	snapshot := `{
+  "version": "v1",
+  "id": "job-000003",
+  "spec": "tiny",
+  "seed": 42,
+  "scale": 1,
+  "parallel": 2,
+  "state": "done",
+  "cells_total": 4,
+  "cells_done": 4,
+  "created": "1970-01-01T00:00:00.000001Z",
+  "started": "1970-01-01T00:00:00.000002Z",
+  "finished": "1970-01-01T00:00:00.000003Z",
+  "canonical": "` + b64(canonical) + `",
+  "timed": "` + b64(timed) + `",
+  "manifest": "` + b64(manifest) + `"
+}
+`
+	if err := os.MkdirAll(filepath.Join(dir, snapshotDirName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotDirName, "job-000003.json"), []byte(snapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, state := open(t, dir)
+	if len(state.Warnings) != 0 {
+		t.Fatalf("warnings = %v", state.Warnings)
+	}
+	if len(state.Jobs) != 1 || len(state.Jobs[0].Cells) != 1 {
+		t.Fatalf("in-flight jobs = %+v, want job-000004 with one cell", state.Jobs)
+	}
+	want := JobMeta{ID: "job-000004", Spec: "tiny", Seed: 42, Scale: 1, Created: time.Unix(0, 1000).UTC()}
+	if got := state.Jobs[0].Meta; !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered meta = %+v, want %+v", got, want)
+	}
+	if len(state.Snapshots) != 1 {
+		t.Fatalf("recovered %d snapshots, want 1", len(state.Snapshots))
+	}
+	snap := state.Snapshots[0]
+	if snap.ID != "job-000003" || snap.State != "done" || snap.CellsDone != 4 ||
+		string(snap.Canonical) != string(canonical) || string(snap.Manifest) != string(manifest) {
+		t.Errorf("snapshot = %+v", snap)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"parallel"`) {
+		t.Errorf("compacted journal still writes the retired key:\n%s", data)
 	}
 }
 
@@ -435,7 +511,7 @@ func BenchmarkReplayJournal(b *testing.B) {
 	}
 	for j := 0; j < 103; j++ {
 		id := fmt.Sprintf("job-%06d", j)
-		if err := st.AppendJob(JobMeta{ID: id, Spec: "fig9", Seed: int64(j), Scale: 0.5, Parallel: 2,
+		if err := st.AppendJob(JobMeta{ID: id, Spec: "fig9", Seed: int64(j), Scale: 0.5,
 			Created: time.Unix(0, int64(j)).UTC()}); err != nil {
 			b.Fatal(err)
 		}
