@@ -53,11 +53,13 @@ verify: build fmt vet test race determinism doccheck
 # checked-in seed corpus: the differential oracle (random command
 # traces through fast and reference substrates), the dram sampler /
 # pTRR table policies against naive mirrors, the compiled hammer
-# payload against the interpreted engine, the chain planner, and the
+# payload against the interpreted engine, the chain planner, the
 # trace-replay codec (arbitrary bytes must decode to typed errors or
-# replayable files, never panic). TestMakeFuzzRunsEveryFuzzTarget
-# (make doccheck) fails when a fuzz target is missing here. Override
-# FUZZTIME for a longer soak, e.g. `make fuzz FUZZTIME=5m`.
+# replayable files, never panic), and stats.Rand's value stream (any
+# seed and method sequence must draw math/rand's values).
+# TestMakeFuzzRunsEveryFuzzTarget (make doccheck) fails when a fuzz
+# target is missing here. Override FUZZTIME for a longer soak, e.g.
+# `make fuzz FUZZTIME=5m`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialTrace$$' -fuzztime $(FUZZTIME) ./internal/refmodel
 	$(GO) test -run '^$$' -fuzz '^FuzzTRRSampler$$' -fuzztime $(FUZZTIME) ./internal/dram
@@ -65,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChainPlan$$' -fuzztime $(FUZZTIME) ./internal/chain
 	$(GO) test -run '^$$' -fuzz '^FuzzPayloadDifferential$$' -fuzztime $(FUZZTIME) ./internal/hammer
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME) ./internal/replay
+	$(GO) test -run '^$$' -fuzz '^FuzzRandStream$$' -fuzztime $(FUZZTIME) ./internal/stats
 
 # perfbench-test runs the repository benchmark's own tests. perfbench
 # is a separate Go module (it imports this one through a replace

@@ -63,6 +63,9 @@ var pins = []pin{
 	{".", "^BenchmarkActivate$", 20_000_000},
 	{".", "^BenchmarkMappingRecovery$", 3},
 	{"internal/dram", "^BenchmarkActivateBatch$", 200_000},
+	{"internal/cpu", "^BenchmarkRunPayload$/^hit_heavy$", 200},
+	{"internal/cpu", "^BenchmarkRunPayload$/^miss_heavy$", 60},
+	{"internal/cpu", "^BenchmarkCompile$", 5000},
 	{"internal/memctrl", "^BenchmarkAccess$", 5_000_000},
 	{"internal/hammer", "^BenchmarkFreshPatternCell$", 6},
 	{"internal/campaign", "^BenchmarkPoolEmptyCells$", 2000},

@@ -333,7 +333,7 @@ func (e *Engine) Run(p *Program, iterations int, cfg Config) Result {
 			case OpLFence:
 				e.uop++
 				e.now += e.Arch.LFenceNS
-				e.loads.drainAll(&e.now)
+				e.now = e.loads.drainAll(e.now)
 				e.fenceLD = true
 				if cfg.Style == StyleCPP {
 					// The fence stalls the address-generation loads
@@ -344,16 +344,16 @@ func (e *Engine) Run(p *Program, iterations int, cfg Config) Result {
 			case OpMFence:
 				e.uop++
 				e.now += e.Arch.MFenceNS
-				e.loads.drainAll(&e.now)
-				e.fills.drainAll(&e.now)
+				e.now = e.loads.drainAll(e.now)
+				e.now = e.fills.drainAll(e.now)
 				e.fenceLD = true
 				// Prefetches are architecturally NOT ordered by
 				// MFENCE (Intel SDM; Table 3's zero-flip column).
 			case OpCPUID:
 				e.uop++
 				e.now += e.Arch.CPUIDNS
-				e.loads.drainAll(&e.now)
-				e.fills.drainAll(&e.now)
+				e.now = e.loads.drainAll(e.now)
+				e.now = e.fills.drainAll(e.now)
 				e.fenceLD, e.fencePF = true, true
 			case OpIterStart:
 				if cfg.Obfuscate {
@@ -412,12 +412,12 @@ func (e *Engine) access(pa uint64, op *Op, window, issueScale float64, isLoad bo
 		// A load occupies an MLP slot until data returns; with the
 		// interleaved flushes of the hammer pair the ROB keeps the
 		// effective parallelism at LoadMLP (§4.5).
-		e.loads.waitForSlot(e.Arch.LoadMLP, &e.now)
+		e.now = e.loads.waitForSlot(e.Arch.LoadMLP, e.now)
 		complete, _ = e.Ctrl.Access(pa, e.now)
 		e.loads.push(complete + e.Arch.LoadSerializeNS)
 		e.now += e.Arch.IssueCostLD * issueScale
 	} else {
-		e.fills.waitForSlot(e.Arch.LFBCount, &e.now)
+		e.now = e.fills.waitForSlot(e.Arch.LFBCount, e.now)
 		complete, _ = e.Ctrl.Access(pa, e.now)
 		e.fills.push(complete)
 		e.now += (e.Arch.IssueCostPF + hintCost(op.Hint)) * issueScale
@@ -516,25 +516,29 @@ func (f *fifoTimes) drainUntil(t float64) {
 	}
 }
 
-// drainAll advances *now past the last outstanding completion and
-// empties the queue (a full fence).
-func (f *fifoTimes) drainAll(now *float64) {
+// drainAll empties the queue (a full fence) and returns now advanced
+// past the last outstanding completion. The clock goes in and comes
+// back by value, so a caller's clock never needs an address and can
+// stay in a register.
+func (f *fifoTimes) drainAll(now float64) float64 {
 	for f.head != f.tail {
-		if v := f.buf[f.head&fifoRingMask]; v > *now {
-			*now = v
+		if v := f.buf[f.head&fifoRingMask]; v > now {
+			now = v
 		}
 		f.head++
 	}
+	return now
 }
 
-// waitForSlot blocks until fewer than cap entries remain outstanding,
-// advancing *now as needed.
-func (f *fifoTimes) waitForSlot(capSlots int, now *float64) {
-	f.drainUntil(*now)
+// waitForSlot blocks until fewer than cap entries remain outstanding
+// and returns now advanced as needed.
+func (f *fifoTimes) waitForSlot(capSlots int, now float64) float64 {
+	f.drainUntil(now)
 	for int(f.tail-f.head) >= capSlots {
-		if v := f.buf[f.head&fifoRingMask]; v > *now {
-			*now = v
+		if v := f.buf[f.head&fifoRingMask]; v > now {
+			now = v
 		}
 		f.head++
 	}
+	return now
 }

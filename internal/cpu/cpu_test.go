@@ -313,8 +313,7 @@ func TestFifoTimes(t *testing.T) {
 	if f.len() != 1 || f.oldest() != 3 {
 		t.Errorf("drainUntil: len %d oldest %v", f.len(), f.oldest())
 	}
-	now := 0.0
-	f.drainAll(&now)
+	now := f.drainAll(0)
 	if f.len() != 0 || now != 3 {
 		t.Errorf("drainAll: len %d now %v", f.len(), now)
 	}
@@ -326,8 +325,7 @@ func TestFifoTimes(t *testing.T) {
 	f.reset()
 	f.push(100)
 	f.push(200)
-	now = 0
-	f.waitForSlot(2, &now)
+	now = f.waitForSlot(2, 0)
 	if now != 100 || f.len() != 1 {
 		t.Errorf("waitForSlot: now %v len %d", now, f.len())
 	}

@@ -23,12 +23,19 @@ import (
 //   - RNG draws: the executor reproduces servedFromCache's draw
 //     conditions and order verbatim (a speculation-skew draw only when
 //     unfenced with a positive window, then a load-replay draw only for
-//     still-unserved loads). Same draws, same order, same stream.
+//     still-unserved loads). Same draws, same order, same stream. Both
+//     executors draw through stats.Rand's inlined Float64, so this
+//     differential cannot catch a wrong draw; the stats stream tests
+//     (TestRandMatchesMathRand, FuzzRandStream) hold that draw to
+//     math/rand's.
 //   - Floating point: time deltas are applied in program order, one add
 //     per original op (two folded delta slots per slot, defaulting to
 //     +0.0 which is exact for the non-negative clock), and every
 //     compile-time constant is the same single expression the
 //     interpreter evaluates per call — never an algebraic refactoring.
+//     The LFB and load-queue helpers take the clock and return it
+//     rather than taking its address, so the clock stays in a register;
+//     they only raise it to a queued completion time, never add.
 //   - Event order: the controller's decode-cache, refresh and bank
 //     bookkeeping runs at the same decision points; buffered ACTs are
 //     flushed to the device before any REF and at run end, preserving
@@ -341,9 +348,9 @@ func (e *Engine) RunPayload(pl *Payload, iterations int) Result {
 				} else {
 					misses++
 					if s.isLoad {
-						e.loads.waitForSlot(pl.mlp, &now)
+						now = e.loads.waitForSlot(pl.mlp, now)
 					} else {
-						e.fills.waitForSlot(pl.lfb, &now)
+						now = e.fills.waitForSlot(pl.lfb, now)
 					}
 					if nextREF <= now {
 						if len(buf) > 0 {
@@ -453,7 +460,7 @@ func (e *Engine) RunPayload(pl *Payload, iterations int) Result {
 			case slotLFence:
 				uop++
 				now += pl.lfenceCost
-				e.loads.drainAll(&now)
+				now = e.loads.drainAll(now)
 				fenceLD = true
 				if pl.lfSetsPF {
 					fencePF = true
@@ -461,14 +468,14 @@ func (e *Engine) RunPayload(pl *Payload, iterations int) Result {
 			case slotMFence:
 				uop++
 				now += pl.mfenceCost
-				e.loads.drainAll(&now)
-				e.fills.drainAll(&now)
+				now = e.loads.drainAll(now)
+				now = e.fills.drainAll(now)
 				fenceLD = true
 			case slotCPUID:
 				uop++
 				now += pl.cpuidCost
-				e.loads.drainAll(&now)
-				e.fills.drainAll(&now)
+				now = e.loads.drainAll(now)
+				now = e.fills.drainAll(now)
 				fenceLD, fencePF = true, true
 			case slotAdvance:
 				// Deltas already applied above.

@@ -15,7 +15,8 @@
 // lazy per-bank maps. TRR sampling costs O(1) per activation: each row
 // state carries an interval stamp and its slot in the bank's sampler, so
 // a repeat activation bumps a count by index and no table is scanned.
-// Refresh boundaries pay only the top-N selection and the pTRR sweep.
+// Refresh boundaries pay only the top-N selection, over the banks
+// activated in the interval, and the pTRR sweep.
 package dram
 
 import (
@@ -34,6 +35,10 @@ const (
 	RefreshSlices = 8192   // tREFW / tREFI: each row refreshed every 8192 REFs
 	RowBytes      = 8192   // bytes per row (8 KB typical for x8 DDR4)
 )
+
+// maxBanks is the most geographic banks a device models: the sampled-
+// bank mask is one 64-bit word. DDR5 D1's 2×32 is the largest profile.
+const maxBanks = 64
 
 // Flip records one observed bit flip.
 type Flip struct {
@@ -174,8 +179,16 @@ type Device struct {
 	// real DDR4 TRR logic operates independently per bank.
 	trr []trrSampler
 
+	// sampled has bit b set when bank b's sampler took an ACT in the
+	// current interval. Only those samplers can hold entries, so
+	// Refresh visits just them, in ascending bank order as a walk over
+	// every bank would (an empty sampler's top is nil and its clear a
+	// no-op). Both per-ACT bodies set it; NewDevice caps the device at
+	// 64 banks so one word covers them.
+	sampled uint64
+
 	// trrInterval numbers the sampler intervals for the row stamps.
-	// Refresh and Reset both clear every sampler and advance it; it
+	// Refresh and Reset both leave every sampler empty and advance it; it
 	// starts at 1 (a fresh row state's stamp is 0) and is never zeroed,
 	// so no stamp outlives the table contents it indexes. refCount
 	// cannot serve, because Reset zeroes it.
@@ -225,6 +238,9 @@ type Device struct {
 // flip the exact same cells, which is how the paper's "flips depend on
 // physical location" observation (Orosa et al.) is reproduced.
 func NewDevice(d *arch.DIMM, seed int64) *Device {
+	if n := d.TotalBanks(); n > maxBanks {
+		panic(fmt.Sprintf("dram: DIMM %s has %d banks; the device models at most %d", d.ID, n, maxBanks))
+	}
 	dev := &Device{
 		DIMM:     d,
 		Seed:     seed,
@@ -370,6 +386,7 @@ func (d *Device) activate(st *rowState, bank int, row uint64, now float64) {
 		st = d.state(bank, row)
 	}
 	d.trr[bank].sample(st, row, d.trrInterval)
+	d.sampled |= 1 << uint(bank)
 	if d.PTRR {
 		d.ptrrCounts.add(rowKey(bank, row))
 	}
@@ -541,12 +558,15 @@ func (d *Device) Refresh(now float64) {
 
 	// TRR: each bank's logic proactively refreshes the neighborhood of
 	// its sampler's top candidates, then clears for the next interval.
-	for bank := range d.trr {
+	// Banks no ACT reached this interval have nothing to refresh.
+	for m := d.sampled; m != 0; m &= m - 1 {
+		bank := bits.TrailingZeros64(m)
 		for _, row := range d.trr[bank].top(d.DIMM.TRRRefreshPerREF) {
 			d.refreshNeighborhood(bank, row)
 		}
 		d.trr[bank].clear()
 	}
+	d.sampled = 0
 
 	if d.PTRR {
 		d.ptrrSweep()
@@ -643,6 +663,7 @@ func (d *Device) Reset() {
 	for i := range d.trr {
 		d.trr[i].clear()
 	}
+	d.sampled = 0
 	d.trrInterval++
 	d.ptrrCounts.clear()
 	d.refCount = 0

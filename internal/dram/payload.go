@@ -71,8 +71,8 @@ func (d *Device) ActivateBatch(entries []ActEntry) {
 	// with them hoisted, the steady-state victim update is a compare and
 	// an add, hand-inlined (the compiler declines to inline disturb into
 	// this loop), and a repeat ACT's sampling is a compare and a count
-	// bump.
-	rc, iv := d.refCount, d.trrInterval
+	// bump. The sampled-bank mask lives in a local for the batch too.
+	rc, iv, sampled := d.refCount, d.trrInterval, d.sampled
 	w1, w2 := blastWeights[1], blastWeights[2]
 	for i := range entries {
 		e := &entries[i]
@@ -81,6 +81,7 @@ func (d *Device) ActivateBatch(entries []ActEntry) {
 		st.acts++
 		bank := ref.bank
 		d.trr[bank].sample(st, ref.row, iv)
+		sampled |= 1 << uint(bank)
 		// Victim order (near pair before far pair) matches Activate so
 		// the flip log sequence is bit-identical.
 		if n := st.nbr[0]; n != nil {
@@ -112,7 +113,8 @@ func (d *Device) ActivateBatch(entries []ActEntry) {
 			}
 		}
 	}
-	// No observer sees actCount between entries in this configuration,
-	// so the counter advances once per batch.
+	// No observer sees actCount or the sampled-bank mask between
+	// entries in this configuration, so both are written once per batch.
 	d.actCount += uint64(len(entries))
+	d.sampled = sampled
 }

@@ -4,7 +4,9 @@
 //
 // Everything in this package is purely computational and allocation-light;
 // the hot paths of the DRAM and CPU models call into it millions of times
-// per experiment.
+// per experiment. Rand is math/rand's generator over a concrete copy of
+// its source (rng.go), so the executor's per-access draw inlines while
+// the value stream stays exactly math/rand's.
 package stats
 
 import (
@@ -17,16 +19,39 @@ import (
 	"strings"
 )
 
-// Rand is the random source used throughout the simulator. It is a thin
-// alias for *rand.Rand so call sites read naturally while keeping the
-// door open for swapping the generator.
-type Rand = rand.Rand
+// Rand is the random source used throughout the simulator. It draws
+// exactly the stream rand.New(rand.NewSource(seed)) draws, method for
+// method, from one state: the embedded *rand.Rand runs every method but
+// Float64 as math/rand's own code over src, a copy of math/rand's
+// lagged-Fibonacci source held in the same allocation, and Float64 is
+// math/rand's expression called on src directly. The executor draws
+// Float64 once or twice per access to a line a flush has evicted, so
+// that draw makes no interface call and inlines into the loop.
+type Rand struct {
+	*rand.Rand
+	src rngSource
+}
 
 // NewRand returns a deterministic random source for the given seed.
 // Every experiment threads one of these through explicitly; the simulator
 // never touches the global rand state, so runs are reproducible.
 func NewRand(seed int64) *Rand {
-	return rand.New(rand.NewSource(seed))
+	r := new(Rand)
+	r.src.Seed(seed)
+	r.Rand = rand.New(&r.src)
+	return r
+}
+
+// Float64 returns a pseudo-random number in [0.0,1.0): math/rand's
+// Float64 over the concrete source, including its resample of the
+// (practically unreachable) draw that rounds up to 1.0.
+func (r *Rand) Float64() float64 {
+again:
+	f := float64(r.src.Int63()) / (1 << 63)
+	if f == 1 {
+		goto again
+	}
+	return f
 }
 
 // SplitSeed derives an independent child seed from a base seed and a
