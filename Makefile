@@ -55,19 +55,25 @@ verify: build fmt vet test race determinism doccheck
 # pTRR table policies against naive mirrors, the compiled hammer
 # payload against the interpreted engine, the chain planner, the
 # trace-replay codec (arbitrary bytes must decode to typed errors or
-# replayable files, never panic), and stats.Rand's value stream (any
-# seed and method sequence must draw math/rand's values).
+# replayable files, never panic), stats.Rand's value stream (any
+# seed and method sequence must draw math/rand's values), and lease
+# completion (any completion cell gets a 200 or a 400 that applies
+# nothing, and the coordinator never panics).
+# -fuzzminimizetime 0s spends the whole budget on new inputs instead of
+# shrinking each one, which can take a 10 s budget entirely; a failing
+# input is still written to testdata/fuzz and fails the run.
 # TestMakeFuzzRunsEveryFuzzTarget (make doccheck) fails when a fuzz
 # target is missing here. Override FUZZTIME for a longer soak, e.g.
 # `make fuzz FUZZTIME=5m`.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialTrace$$' -fuzztime $(FUZZTIME) ./internal/refmodel
-	$(GO) test -run '^$$' -fuzz '^FuzzTRRSampler$$' -fuzztime $(FUZZTIME) ./internal/dram
-	$(GO) test -run '^$$' -fuzz '^FuzzPTRRTable$$' -fuzztime $(FUZZTIME) ./internal/dram
-	$(GO) test -run '^$$' -fuzz '^FuzzChainPlan$$' -fuzztime $(FUZZTIME) ./internal/chain
-	$(GO) test -run '^$$' -fuzz '^FuzzPayloadDifferential$$' -fuzztime $(FUZZTIME) ./internal/hammer
-	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME) ./internal/replay
-	$(GO) test -run '^$$' -fuzz '^FuzzRandStream$$' -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialTrace$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/refmodel
+	$(GO) test -run '^$$' -fuzz '^FuzzTRRSampler$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/dram
+	$(GO) test -run '^$$' -fuzz '^FuzzPTRRTable$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/dram
+	$(GO) test -run '^$$' -fuzz '^FuzzChainPlan$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/chain
+	$(GO) test -run '^$$' -fuzz '^FuzzPayloadDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/hammer
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/replay
+	$(GO) test -run '^$$' -fuzz '^FuzzRandStream$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzLeaseComplete$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0s ./internal/serve
 
 # perfbench-test runs the repository benchmark's own tests. perfbench
 # is a separate Go module (it imports this one through a replace

@@ -10,7 +10,8 @@
 // scheduler — executes the cells of one or many Specs on a fixed set
 // of workers that pop one FIFO queue of cells. Run is the one-shot
 // form: a private Pool sized to the grid, closed when the campaign is
-// done.
+// done. Grid types a Spec by its cell result, so a result of another
+// type — from a worker node or a journal — is an error, not a panic.
 //
 // Determinism is the package's core contract: each cell derives its own
 // RNG seed from the campaign seed and the cell's stable key
@@ -23,7 +24,9 @@
 package campaign
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"time"
 
 	"rhohammer/internal/arch"
@@ -110,7 +113,8 @@ type Cell struct {
 
 // Spec declaratively describes one campaign: a named grid of
 // independent cells, how to execute one cell, and how to assemble the
-// per-cell results into the final artifact.
+// per-cell results into the final artifact. Grid builds one; a Spec
+// literal has no result type, and its raw results are its result.
 type Spec struct {
 	// Name is the campaign's registry name (e.g. "table6").
 	Name string
@@ -126,10 +130,55 @@ type Spec struct {
 	// result. It is called from worker goroutines and must not share
 	// mutable state across cells.
 	Exec func(c Cell, seed int64) (any, error)
-	// Gather assembles the index-ordered per-cell results into the
-	// campaign result (typically a Renderer). When nil the Outcome
-	// carries the raw slice.
-	Gather func(results []any) any
+
+	// check and gather are Grid's; nil for a Spec literal.
+	check  func(v any) error
+	gather func(results []any) any
+}
+
+// ErrResultType is the error CheckResult wraps when a cell result is
+// nil or not of its spec's result type.
+var ErrResultType = errors.New("campaign: wrong cell result type")
+
+// Grid builds the Spec of a grid whose every cell returns a T, the
+// one place the result type is written: exec runs one cell, gather
+// assembles the index-ordered results, CheckResult accepts only a T,
+// and T (a concrete type) is registered with the wire codec. The
+// caller sets Name, Kind and Seed.
+func Grid[T any](cells []Cell, exec func(c Cell, seed int64) (T, error), gather func(results []T) any) Spec {
+	registerResult[T]()
+	return Spec{
+		Cells: cells,
+		Exec: func(c Cell, seed int64) (any, error) {
+			return exec(c, seed)
+		},
+		check: checkResult[T],
+		gather: func(results []any) any {
+			typed := make([]T, len(results))
+			for i, v := range results {
+				typed[i] = v.(T) // AssembleOutcome checked every cell first
+			}
+			return gather(typed)
+		},
+	}
+}
+
+func checkResult[T any](v any) error {
+	if _, ok := v.(T); !ok {
+		return fmt.Errorf("%w: %T, want %v", ErrResultType, v, reflect.TypeFor[T]())
+	}
+	return nil
+}
+
+// CheckResult reports whether v is a cell result the spec can gather:
+// for a Grid, a value of its result type (nil is none), else an
+// ErrResultType error; a Spec literal accepts any value. The serve
+// layer applies it to each result a worker posts or a journal holds.
+func (s Spec) CheckResult(v any) error {
+	if s.check == nil {
+		return nil
+	}
+	return s.check(v)
 }
 
 // CellSeed returns the deterministic seed for the cell with the given
@@ -190,8 +239,8 @@ type Outcome struct {
 	Workers int
 	// Results holds the per-cell results in cell order.
 	Results []any
-	// Result is Gather's assembly of Results (Results itself when the
-	// Spec has no Gather).
+	// Result is the campaign result gathered from Results (Results
+	// itself for a Spec literal); nil after a Pool run.
 	Result any
 	// Cells holds per-cell execution stats, in cell order. Only the
 	// Wall field varies with scheduling; Key/Seed/Attempts/Err are

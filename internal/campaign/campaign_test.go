@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -15,23 +16,19 @@ import (
 // derived seed, so any seed-derivation or ordering bug shows up as a
 // result mismatch across worker counts.
 func syntheticSpec(seed int64, cells int) Spec {
-	s := Spec{Name: "synthetic", Kind: KindAux, Seed: seed}
+	var cs []Cell
 	for i := 0; i < cells; i++ {
-		s.Cells = append(s.Cells, Cell{Key: fmt.Sprintf("cell/%d", i)})
+		cs = append(cs, Cell{Key: fmt.Sprintf("cell/%d", i)})
 	}
-	s.Exec = func(c Cell, seed int64) (any, error) {
+	s := Grid(cs, func(c Cell, seed int64) ([2]any, error) {
 		r := stats.NewRand(seed)
 		sum := 0.0
 		for i := 0; i < 1000; i++ {
 			sum += r.Float64()
 		}
 		return [2]any{c.Key, sum}, nil
-	}
-	s.Gather = func(results []any) any {
-		out := make([]any, len(results))
-		copy(out, results)
-		return out
-	}
+	}, func(results [][2]any) any { return results })
+	s.Name, s.Kind, s.Seed = "synthetic", KindAux, seed
 	return s
 }
 
@@ -48,7 +45,7 @@ func serialReference(t *testing.T, s Spec) (results []any, result any) {
 		}
 		results[i] = r
 	}
-	return results, s.Gather(results)
+	return results, s.gather(results)
 }
 
 // run calls the one-shot runner, Run, with no context or options;
@@ -189,7 +186,93 @@ func TestRunnerWithoutGatherReturnsResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(out.Result, out.Results) {
-		t.Error("nil Gather should surface the raw results")
+		t.Error("a Spec literal should surface the raw results")
+	}
+}
+
+// gridRow is the result type of the Grid tests' specs.
+type gridRow struct {
+	Key  string
+	Seed int64
+}
+
+// rowGrid is a three-cell Grid of gridRows gathered into their keys.
+func rowGrid() Spec {
+	s := Grid([]Cell{{Key: "a"}, {Key: "b"}, {Key: "c"}},
+		func(c Cell, seed int64) (gridRow, error) { return gridRow{c.Key, seed}, nil },
+		func(rows []gridRow) any {
+			keys := make([]string, len(rows))
+			for i, r := range rows {
+				keys[i] = r.Key
+			}
+			return strings.Join(keys, ",")
+		})
+	s.Name, s.Seed = "rows", 1
+	return s
+}
+
+// TestGridChecksEveryCellBeforeGathering: a Grid's results are checked
+// against its result type before the gather runs, so a wrong-typed or
+// nil cell — as a worker or a journal could supply — fails the
+// assembly with an ErrResultType error naming the cell instead of
+// panicking in the gather. A Spec literal accepts any value.
+func TestGridChecksEveryCellBeforeGathering(t *testing.T) {
+	s := rowGrid()
+	out, err := run(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Result != "a,b,c" {
+		t.Fatalf("gathered %v, want a,b,c", out.Result)
+	}
+
+	results := []any{out.Results[0], "not a row", nil}
+	bad, err := AssembleOutcome(s, 1, 0, results, out.Cells)
+	if !errors.Is(err, ErrResultType) {
+		t.Fatalf("assembling wrong-typed cells: %v, want ErrResultType", err)
+	}
+	for _, want := range []string{"cell b", "string", "cell c", "<nil>", "campaign.gridRow"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "cell a") {
+		t.Errorf("error blames the good cell a: %v", err)
+	}
+	if bad.Result != nil {
+		t.Error("gathered a grid that failed its check")
+	}
+
+	if err := s.CheckResult(gridRow{}); err != nil {
+		t.Errorf("CheckResult(gridRow) = %v", err)
+	}
+	if err := (Spec{}).CheckResult("anything"); err != nil {
+		t.Errorf("a Spec literal refused a result: %v", err)
+	}
+}
+
+// TestGridRegistersItsResultType: once a Grid of T is built, T crosses
+// the wire codec losslessly, and building another Grid of T does not
+// register it again — admission builds a spec on every submit.
+func TestGridRegistersItsResultType(t *testing.T) {
+	s := rowGrid()
+	v, err := s.Exec(s.Cells[1], s.CellSeed("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeResult(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeResult(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back != v {
+		t.Errorf("round trip = %#v, want %#v", back, v)
+	}
+	if n := testing.AllocsPerRun(100, registerResult[gridRow]); n != 0 {
+		t.Errorf("registering an already registered type allocates %.0f times", n)
 	}
 }
 

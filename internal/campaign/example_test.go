@@ -13,22 +13,16 @@ import (
 // the campaign seed and the cell's stable key, so the gathered result
 // is bit-identical for every worker count.
 func Example() {
-	spec := campaign.Spec{
-		Name: "demo", Kind: campaign.KindAux, Seed: 7,
-		Cells: []campaign.Cell{{Key: "a"}, {Key: "b"}, {Key: "c"}, {Key: "d"}},
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	spec := campaign.Grid(
+		[]campaign.Cell{{Key: "a"}, {Key: "b"}, {Key: "c"}, {Key: "d"}},
+		func(c campaign.Cell, seed int64) (string, error) {
 			// Stand-in for a simulation: any pure function of the
 			// derived cell seed.
 			return fmt.Sprintf("%s#%d", c.Key, seed&0xff), nil
 		},
-		Gather: func(results []any) any {
-			parts := make([]string, len(results))
-			for i, r := range results {
-				parts[i] = r.(string)
-			}
-			return strings.Join(parts, " ")
-		},
-	}
+		func(results []string) any { return strings.Join(results, " ") },
+	)
+	spec.Name, spec.Kind, spec.Seed = "demo", campaign.KindAux, 7
 
 	serial, err := campaign.Run(context.Background(), spec, 1, campaign.RunOpts{})
 	if err != nil {
@@ -49,21 +43,17 @@ func Example() {
 // not jobs — are the scheduling unit, so a small grid never waits
 // behind a large one, and the result is still bit-identical to a
 // one-worker run because each cell's seed derives from its stable key.
+// A pool run may be one part of a campaign, so it does not gather;
+// AssembleOutcome gathers the full grid.
 func ExamplePool() {
-	spec := campaign.Spec{
-		Name: "demo", Kind: campaign.KindAux, Seed: 7,
-		Cells: []campaign.Cell{{Key: "a"}, {Key: "b"}, {Key: "c"}, {Key: "d"}},
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	spec := campaign.Grid(
+		[]campaign.Cell{{Key: "a"}, {Key: "b"}, {Key: "c"}, {Key: "d"}},
+		func(c campaign.Cell, seed int64) (string, error) {
 			return fmt.Sprintf("%s#%d", c.Key, seed&0xff), nil
 		},
-		Gather: func(results []any) any {
-			parts := make([]string, len(results))
-			for i, r := range results {
-				parts[i] = r.(string)
-			}
-			return strings.Join(parts, " ")
-		},
-	}
+		func(results []string) any { return strings.Join(results, " ") },
+	)
+	spec.Name, spec.Kind, spec.Seed = "demo", campaign.KindAux, 7
 
 	pool := campaign.NewPool(8)
 	defer pool.Close()
@@ -72,11 +62,15 @@ func ExamplePool() {
 	if err != nil {
 		panic(err)
 	}
+	gathered, err := campaign.AssembleOutcome(spec, pooled.Workers, pooled.Wall, pooled.Results, pooled.Cells)
+	if err != nil {
+		panic(err)
+	}
 	serial, err := campaign.Run(context.Background(), spec, 1, campaign.RunOpts{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(pooled.Result == serial.Result)
+	fmt.Println(gathered.Result == serial.Result)
 	fmt.Println(pooled.Workers, "pool workers,", len(pooled.Cells), "cells")
 	// Output:
 	// true

@@ -89,7 +89,7 @@ func TestRunSurfacesFailingCellKeys(t *testing.T) {
 				t.Fatal("no partial outcome returned alongside the error")
 			}
 			if out.Result != nil {
-				t.Error("Gather must not run on partial results")
+				t.Error("a partial grid was gathered")
 			}
 			for i, r := range out.Results {
 				key := fmt.Sprintf("cell-%02d", i)

@@ -22,11 +22,12 @@ import (
 // scheduled exactly once.
 //
 // Results are bit-identical for every pool size: a cell's seed derives
-// from its stable key (Spec.CellSeed), results land at the cell's
-// index, and Gather runs once after the last cell — so which worker ran
-// a cell cannot change result bytes. A panicking cell is recovered into
-// its own error, OnCell observes each cell as it finishes, and
-// cancellation withdraws a run's queued cells.
+// from its stable key (Spec.CellSeed) and results land at the cell's
+// index, so which worker ran a cell cannot change result bytes. A pool
+// run does not gather, since its grid may be part of a campaign (a
+// resumed job's missing cells, a worker's leased batch). A panicking
+// cell is recovered into its own error, OnCell observes each cell as
+// it finishes, and cancellation withdraws a run's queued cells.
 type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -98,25 +99,29 @@ func (p *Pool) Close() {
 
 // Run executes every cell of the spec on its own pool of
 // min(workers, cells) workers (at least one; workers <= 0 means
-// GOMAXPROCS) and closes that pool before returning: the one-shot form
-// of Pool.RunContext for callers that run one campaign at a time.
+// GOMAXPROCS), closes that pool and gathers the grid: the one-shot
+// form of Pool.RunContext plus AssembleOutcome, for callers that run
+// one campaign at a time.
 func Run(ctx context.Context, s Spec, workers int, opts RunOpts) (*Outcome, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := NewPool(max(1, min(workers, len(s.Cells))))
 	defer p.Close()
-	return p.RunContext(ctx, s, opts)
+	out, err := p.RunContext(ctx, s, opts)
+	if err != nil {
+		return out, err
+	}
+	return AssembleOutcome(s, out.Workers, out.Wall, out.Results, out.Cells)
 }
 
-// Run executes every cell of the spec on the pool and gathers the
-// results. A cell failure (returned error or panic) does not stop,
-// skew, or reorder the other cells; all failures are joined into the
-// returned error, each naming its cell. On error the Outcome is still
-// returned with every successful cell's result at its index (failed
-// cells hold nil) and with complete per-cell stats, so a caller can
-// salvage partial grids; Gather is not run on partial results —
-// Outcome.Result is nil whenever the error is non-nil.
+// Run executes every cell of the spec on the pool. A cell failure
+// (returned error or panic) does not stop, skew, or reorder the other
+// cells; all failures are joined into the returned error, each naming
+// its cell. On error the Outcome is still returned with every
+// successful cell's result at its index (failed cells hold nil) and
+// with complete per-cell stats, so a caller can salvage partial grids.
+// The pool does not gather: Outcome.Result is nil.
 func (p *Pool) Run(s Spec, opts RunOpts) (*Outcome, error) {
 	return p.RunContext(context.Background(), s, opts)
 }
@@ -166,7 +171,7 @@ func (p *Pool) RunContext(ctx context.Context, s Spec, opts RunOpts) (*Outcome, 
 		p.withdraw(run)
 		<-run.done
 	}
-	out, err := AssembleOutcome(s, p.workers, time.Since(start), run.results, run.stats)
+	out, err := collect(s, p.workers, time.Since(start), run.results, run.stats)
 	if obs.Enabled() {
 		// Flushed per pool run, so the campaign counters count the cells
 		// this process scheduled — never a merge of cells run elsewhere.
@@ -274,14 +279,29 @@ func runCell(s Spec, i int) (result any, stat CellStat) {
 	return result, stat
 }
 
-// AssembleOutcome builds an Outcome from index-ordered results and
-// stats: per-cell errors are joined (Gather never runs on a partial
-// grid) and busy time is summed. The Pool ends every run with it, and
-// the serve layer merges a job's grid — cells run locally, leased to
-// worker nodes or recovered from its journal — through it, so an
-// Outcome assembled from remote cells is indistinguishable from a
-// local run.
+// AssembleOutcome builds the Outcome of a full grid from index-ordered
+// results and stats, as a Pool run does, and gathers it when every cell
+// succeeded with a result the spec's CheckResult accepts; otherwise
+// the error names each offending cell and Result stays nil. Run ends
+// with it, and the serve layer merges a job's grid — cells run
+// locally, leased to worker nodes or recovered from its journal —
+// through it, so an Outcome assembled from remote cells is
+// indistinguishable from a local run.
 func AssembleOutcome(s Spec, workers int, wall time.Duration, results []any, stats []CellStat) (*Outcome, error) {
+	out, err := collect(s, workers, wall, results, stats)
+	if err != nil {
+		return out, err
+	}
+	out.Result = results
+	if s.gather != nil {
+		out.Result = s.gather(results)
+	}
+	return out, nil
+}
+
+// collect builds an ungathered Outcome: busy time is summed, and each
+// failed cell and each result CheckResult refuses is an error.
+func collect(s Spec, workers int, wall time.Duration, results []any, stats []CellStat) (*Outcome, error) {
 	out := &Outcome{
 		Name:    s.Name,
 		Workers: workers,
@@ -290,20 +310,13 @@ func AssembleOutcome(s Spec, workers int, wall time.Duration, results []any, sta
 		Wall:    wall,
 	}
 	var errs []error
-	for i := range stats {
-		out.Busy += stats[i].Wall
-		if stats[i].Err != "" {
-			errs = append(errs, fmt.Errorf("campaign %s: cell %s: %s", s.Name, stats[i].Key, stats[i].Err))
+	for i, st := range stats {
+		out.Busy += st.Wall
+		if st.Err != "" {
+			errs = append(errs, fmt.Errorf("campaign %s: cell %s: %s", s.Name, st.Key, st.Err))
+		} else if err := s.CheckResult(results[i]); err != nil {
+			errs = append(errs, fmt.Errorf("campaign %s: cell %s: %w", s.Name, st.Key, err))
 		}
 	}
-	if len(errs) > 0 {
-		return out, errors.Join(errs...)
-	}
-
-	if s.Gather != nil {
-		out.Result = s.Gather(results)
-	} else {
-		out.Result = results
-	}
-	return out, nil
+	return out, errors.Join(errs...)
 }

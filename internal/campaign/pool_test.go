@@ -11,9 +11,10 @@ import (
 	"time"
 )
 
-// TestPoolDeterminism is the Pool's core contract: the gathered result
-// equals the serial reference for every pool size. make verify runs it
-// under -race.
+// TestPoolDeterminism is the Pool's core contract: the per-cell
+// results, and the result AssembleOutcome gathers from them, equal the
+// serial reference for every pool size. The pool itself does not
+// gather. make verify runs it under -race.
 func TestPoolDeterminism(t *testing.T) {
 	spec := syntheticSpec(42, 64)
 	wantResults, want := serialReference(t, spec)
@@ -24,11 +25,18 @@ func TestPoolDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Result, want) {
-			t.Errorf("pool workers=%d: result diverged from the serial reference", workers)
+		if got.Result != nil {
+			t.Errorf("pool workers=%d: the pool gathered", workers)
 		}
 		if !reflect.DeepEqual(got.Results, wantResults) {
 			t.Errorf("pool workers=%d: per-cell results diverged", workers)
+		}
+		full, err := AssembleOutcome(spec, got.Workers, got.Wall, got.Results, got.Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(full.Result, want) {
+			t.Errorf("pool workers=%d: result diverged from the serial reference", workers)
 		}
 	}
 }
@@ -175,7 +183,7 @@ func TestPoolJoinsCellFailures(t *testing.T) {
 		}
 	}
 	if out.Result != nil {
-		t.Error("Gather ran on a partial grid")
+		t.Error("a partial grid was gathered")
 	}
 	for _, stat := range out.Cells {
 		if stat.Attempts != 1 {

@@ -81,7 +81,7 @@ func TestRunContextCancelStopsDispatch(t *testing.T) {
 		t.Fatal("cancelled run returned nil outcome")
 	}
 	if out.Result != nil {
-		t.Error("Gather ran on a partial grid")
+		t.Error("a partial grid was gathered")
 	}
 	ran, skipped := 0, 0
 	for i, st := range out.Cells {

@@ -53,9 +53,8 @@ func ablationCSSpec(cfg Config) campaign.Spec {
 			})
 		}
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: sweepCell(func(c campaign.Cell, s *hammer.Session, res sweep.Result) any {
+	return campaign.Grid(cells,
+		sweepCell(func(c campaign.Cell, s *hammer.Session, res sweep.Result) AblationRow {
 			var miss float64
 			// Measure the configuration's ordering directly with a short
 			// probe at a fresh location.
@@ -68,8 +67,7 @@ func ablationCSSpec(cfg Config) campaign.Spec {
 				Flips: res.TotalFlips, MissRate: miss,
 			}
 		}),
-		Gather: func(rs []any) any { return &AblationResult{Rows: gather[AblationRow](rs)} },
-	}
+		func(rows []AblationRow) any { return &AblationResult{Rows: rows} })
 }
 
 // Render implements Renderer.
@@ -111,15 +109,11 @@ func ablationSamplerSpec(cfg Config) campaign.Spec {
 			Pattern: pattern.KnownGood(), Budget: budget, Aux: size,
 		})
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: sweepCell(func(c campaign.Cell, _ *hammer.Session, res sweep.Result) any {
+	return campaign.Grid(cells,
+		sweepCell(func(c campaign.Cell, _ *hammer.Session, res sweep.Result) SamplerAblationRow {
 			return SamplerAblationRow{SamplerSize: c.Aux.(int), Flips: res.TotalFlips}
 		}),
-		Gather: func(rs []any) any {
-			return &SamplerAblationResult{Arch: a.Name, Rows: gather[SamplerAblationRow](rs)}
-		},
-	}
+		func(rows []SamplerAblationRow) any { return &SamplerAblationResult{Arch: a.Name, Rows: rows} })
 }
 
 // Render implements Renderer.

@@ -56,12 +56,11 @@ func chainSpec(cfg Config) campaign.Spec {
 			}
 		}
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (ChainRow, error) {
 			s, err := hammer.NewSession(c.Arch, c.DIMM, seed)
 			if err != nil {
-				return nil, err
+				return ChainRow{}, err
 			}
 			p := c.Aux.(chain.Plan)
 			p.Regions = c.Budget.Locations
@@ -87,8 +86,7 @@ func chainSpec(cfg Config) campaign.Spec {
 			}
 			return row, nil
 		},
-		Gather: func(rs []any) any { return &ChainResult{Rows: gather[ChainRow](rs)} },
-	}
+		func(rows []ChainRow) any { return &ChainResult{Rows: rows} })
 }
 
 // chainNote maps a chain's typed stage errors onto short table notes.

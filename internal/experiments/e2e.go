@@ -39,12 +39,11 @@ func e2eSpec(cfg Config) campaign.Spec {
 			},
 		})
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (E2ERow, error) {
 			s, err := hammer.NewSession(c.Arch, c.DIMM, seed)
 			if err != nil {
-				return nil, err
+				return E2ERow{}, err
 			}
 			eng := chain.Engine{
 				Allocator: chain.BuddyAllocator{},
@@ -73,8 +72,7 @@ func e2eSpec(cfg Config) campaign.Spec {
 				CorruptPTEAddr: res.Addr,
 			}, nil
 		},
-		Gather: func(rs []any) any { return &E2EResult{Rows: gather[E2ERow](rs)} },
-	}
+		func(rows []E2ERow) any { return &E2EResult{Rows: rows} })
 }
 
 // legacyBaseRow is the e2e rows' re-trigger placement: the flip row

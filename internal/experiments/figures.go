@@ -28,18 +28,17 @@ type Fig3Result struct {
 // assembly areas, and the threshold between them.
 func fig3Spec(cfg Config) campaign.Spec {
 	a := arch.CometLake()
-	return campaign.Spec{
-		Cells: []campaign.Cell{{
-			Key: a.Name, Arch: a, DIMM: DefaultDIMM(),
-			Budget: campaign.Budget{Probes: cfg.scaled(3000, 800)},
-		}},
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	cells := []campaign.Cell{{
+		Key: a.Name, Arch: a, DIMM: DefaultDIMM(),
+		Budget: campaign.Budget{Probes: cfg.scaled(3000, 800)},
+	}}
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (*Fig3Result, error) {
 			meas, pool := newMeasurerFor(c.Arch, c.DIMM, seed)
 			res := meas.FindThreshold(pool.RandomPair, c.Budget.Probes, 8)
 			return &Fig3Result{Arch: c.Arch.Name, Threshold: res}, nil
 		},
-		Gather: single,
-	}
+		only)
 }
 
 // Render implements Renderer.
@@ -81,9 +80,8 @@ func fig4Spec(cfg Config) campaign.Spec {
 			Budget: campaign.Budget{Probes: cfg.scaled(10, 4)},
 		})
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (Fig4ArchMap, error) {
 			meas, pool := newMeasurerFor(c.Arch, c.DIMM, seed)
 			thres := meas.FindThreshold(pool.RandomPair, 600, 8)
 			maxBit := uint(33)
@@ -112,17 +110,16 @@ func fig4Spec(cfg Config) campaign.Spec {
 			}
 			return Fig4ArchMap{Arch: c.Arch.Name, Bits: bits, Matrix: m, Thres: thres.Threshold}, nil
 		},
-		Gather: func(rs []any) any {
+		func(maps []Fig4ArchMap) any {
 			out := &Fig4Result{}
-			for _, am := range gather[Fig4ArchMap](rs) {
+			for _, am := range maps {
 				out.Archs = append(out.Archs, am.Arch)
 				out.Bits = am.Bits
 				out.Matrix = append(out.Matrix, am.Matrix)
 				out.Thres = append(out.Thres, am.Thres)
 			}
 			return out
-		},
-	}
+		})
 }
 
 // SlowPairs returns the bit pairs measuring above threshold for arch
@@ -194,9 +191,8 @@ func fig6Spec(cfg Config) campaign.Spec {
 			})
 		}
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: func(c campaign.Cell, _ int64) (any, error) {
+	return campaign.Grid(cells,
+		func(c campaign.Cell, _ int64) (Fig6Cell, error) {
 			// Controlled comparison: every instruction on an arch must
 			// time the SAME session and pattern stream (the paper varies
 			// only the hammer instruction), so the streams derive from
@@ -204,7 +200,7 @@ func fig6Spec(cfg Config) campaign.Spec {
 			seed := stats.SplitSeed(cfg.Seed, "fig6/"+c.Arch.Name)
 			s, err := hammer.NewSession(c.Arch, c.DIMM, seed)
 			if err != nil {
-				return nil, err
+				return Fig6Cell{}, err
 			}
 			fz := pattern.NewFuzzer(pattern.FuzzParams{}, stats.NewRand(stats.SplitSeed(seed, "fuzzer")))
 			var total float64
@@ -212,7 +208,7 @@ func fig6Spec(cfg Config) campaign.Spec {
 				pat := fz.Next()
 				res, err := s.HammerPattern(pat, c.Config, p%s.Map.Banks(), uint64(600+p*128), c.Budget.Activations)
 				if err != nil {
-					return nil, err
+					return Fig6Cell{}, err
 				}
 				total += res.TimeNS
 			}
@@ -221,8 +217,7 @@ func fig6Spec(cfg Config) campaign.Spec {
 				MeanTimeMS: total / float64(c.Budget.Patterns) / 1e6,
 			}, nil
 		},
-		Gather: func(rs []any) any { return &Fig6Result{Cells: gather[Fig6Cell](rs)} },
-	}
+		func(cells []Fig6Cell) any { return &Fig6Result{Cells: cells} })
 }
 
 // Render implements Renderer.
@@ -270,26 +265,22 @@ func fig8Spec(cfg Config) campaign.Spec {
 			}
 		}
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (Fig8Point, error) {
 			s, err := hammer.NewSession(c.Arch, c.DIMM, seed)
 			if err != nil {
-				return nil, err
+				return Fig8Point{}, err
 			}
 			res, err := s.HammerPattern(c.Pattern, c.Config, 0, 700, c.Budget.Activations)
 			if err != nil {
-				return nil, err
+				return Fig8Point{}, err
 			}
 			return Fig8Point{
 				Style: c.Config.Style.String(), Instr: c.Config.Instr.String(), Banks: c.Config.Banks,
 				MissRate: res.MissRate(), TimeMS: res.TimeNS / 1e6,
 			}, nil
 		},
-		Gather: func(rs []any) any {
-			return &Fig8Result{Arch: a.Name, Points: gather[Fig8Point](rs)}
-		},
-	}
+		func(points []Fig8Point) any { return &Fig8Result{Arch: a.Name, Points: points} })
 }
 
 // Render implements Renderer.
@@ -336,20 +327,18 @@ func fig9Spec(cfg Config) campaign.Spec {
 			}
 		}
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (Fig9Cell, error) {
 			rep, err := FuzzCell(c, seed)
 			if err != nil {
-				return nil, err
+				return Fig9Cell{}, err
 			}
 			return Fig9Cell{
 				Arch: c.Arch.Name, Instr: c.Config.Instr.String(),
 				Banks: c.Config.Banks, Flips: rep.TotalFlips,
 			}, nil
 		},
-		Gather: func(rs []any) any { return &Fig9Result{Cells: gather[Fig9Cell](rs)} },
-	}
+		func(cells []Fig9Cell) any { return &Fig9Result{Cells: cells} })
 }
 
 // Render implements Renderer.
@@ -375,17 +364,17 @@ type Fig10Result struct {
 // in the interior.
 func fig10Spec(cfg Config) campaign.Spec {
 	a := arch.RaptorLake()
-	return campaign.Spec{
-		Cells: []campaign.Cell{{
-			Key: a.Name, Arch: a, DIMM: DefaultDIMM(),
-			Config:  hammer.Config{Instr: hammer.InstrPrefetchT2, Banks: 1, Obfuscate: true},
-			Pattern: pattern.KnownGood(),
-			Budget: campaign.Budget{
-				DurationNS: float64(cfg.scaled(150, 100)) * 1e6,
-				Runs:       cfg.scaled(2, 1),
-			},
-		}},
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	cells := []campaign.Cell{{
+		Key: a.Name, Arch: a, DIMM: DefaultDIMM(),
+		Config:  hammer.Config{Instr: hammer.InstrPrefetchT2, Banks: 1, Obfuscate: true},
+		Pattern: pattern.KnownGood(),
+		Budget: campaign.Budget{
+			DurationNS: float64(cfg.scaled(150, 100)) * 1e6,
+			Runs:       cfg.scaled(2, 1),
+		},
+	}}
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (*Fig10Result, error) {
 			s, err := hammer.NewSession(c.Arch, c.DIMM, seed)
 			if err != nil {
 				return nil, err
@@ -400,8 +389,7 @@ func fig10Spec(cfg Config) campaign.Spec {
 				Best:  hammer.TunePoint{Nops: tune.BestNops, Flips: tune.BestFlips},
 			}, nil
 		},
-		Gather: single,
-	}
+		only)
 }
 
 // Render implements Renderer.
@@ -468,16 +456,14 @@ func fig11Spec(cfg Config) campaign.Spec {
 			})
 		}
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: sweepCell(func(c campaign.Cell, _ *hammer.Session, res sweep.Result) any {
+	return campaign.Grid(cells,
+		sweepCell(func(c campaign.Cell, _ *hammer.Session, res sweep.Result) Fig11Series {
 			return Fig11Series{
 				Arch: c.Arch.Name, Strategy: c.Aux.(string),
 				Points: res.Series, Total: res.TotalFlips, PerMin: res.FlipsPerMinute(),
 			}
 		}),
-		Gather: func(rs []any) any { return &Fig11Result{Series: gather[Fig11Series](rs)} },
-	}
+		func(series []Fig11Series) any { return &Fig11Result{Series: series} })
 }
 
 // Render implements Renderer.

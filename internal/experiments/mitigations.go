@@ -72,13 +72,12 @@ func mitigationsSpec(cfg Config) campaign.Spec {
 			})
 		}
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (MitigationRow, error) {
 			setup := c.Aux.(mitigationSetup)
 			s, err := hammer.NewSession(c.Arch, c.DIMM, seed)
 			if err != nil {
-				return nil, err
+				return MitigationRow{}, err
 			}
 			s.EnablePTRR(setup.ptrr)
 			if setup.rowSwap > 0 {
@@ -90,7 +89,7 @@ func mitigationsSpec(cfg Config) campaign.Spec {
 				Bank:                  -1,
 			})
 			if err != nil {
-				return nil, err
+				return MitigationRow{}, err
 			}
 			events := s.Dev.TRREvents()
 			if s.Dev.RFMEvents() > 0 {
@@ -104,8 +103,7 @@ func mitigationsSpec(cfg Config) campaign.Spec {
 				Flips: res.TotalFlips, Events: events,
 			}, nil
 		},
-		Gather: func(rs []any) any { return &MitigationsResult{Rows: gather[MitigationRow](rs)} },
-	}
+		func(rows []MitigationRow) any { return &MitigationsResult{Rows: rows} })
 }
 
 // Render implements Renderer.

@@ -84,30 +84,21 @@ func RunOutcome(name string, cfg Config) (Renderer, *campaign.Outcome, error) {
 	return r, out, nil
 }
 
-// gather converts the pool's index-ordered cell results into a typed
-// slice.
-func gather[T any](results []any) []T {
-	out := make([]T, len(results))
-	for i, r := range results {
-		out[i] = r.(T)
-	}
-	return out
-}
+// only gathers a one-cell grid: its sole result is the campaign
+// result.
+func only[T any](results []T) any { return results[0] }
 
-// single wraps a one-cell experiment's Exec so its sole result becomes
-// the campaign result.
-func single(results []any) any { return results[0] }
-
-// sweepCell returns an Exec for grid cells whose work is "sweep the
+// sweepCell returns the cell body of grids whose work is "sweep the
 // cell's pattern under its config across Budget.Locations": it builds
 // the cell's own session from the derived seed, runs the sweep, and
 // lets row convert the outcome (with the session still available for
 // follow-up probes).
-func sweepCell(row func(c campaign.Cell, s *hammer.Session, res sweep.Result) any) func(campaign.Cell, int64) (any, error) {
-	return func(c campaign.Cell, seed int64) (any, error) {
+func sweepCell[T any](row func(c campaign.Cell, s *hammer.Session, res sweep.Result) T) func(campaign.Cell, int64) (T, error) {
+	return func(c campaign.Cell, seed int64) (T, error) {
+		var zero T
 		s, err := hammer.NewSession(c.Arch, c.DIMM, seed)
 		if err != nil {
-			return nil, err
+			return zero, err
 		}
 		res, err := sweep.Run(s, c.Pattern, c.Config, sweep.Options{
 			Locations:             c.Budget.Locations,
@@ -115,7 +106,7 @@ func sweepCell(row func(c campaign.Cell, s *hammer.Session, res sweep.Result) an
 			Bank:                  -1,
 		})
 		if err != nil {
-			return nil, err
+			return zero, err
 		}
 		return row(c, s, res), nil
 	}

@@ -67,31 +67,30 @@ func replayRoundTripSpec(cfg Config) campaign.Spec {
 			Budget:  budget,
 		})
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (ReplayRoundTripRow, error) {
 			s, err := hammer.NewSession(c.Arch, c.DIMM, seed)
 			if err != nil {
-				return nil, err
+				return ReplayRoundTripRow{}, err
 			}
 			tr := obs.NewTrace(replayTraceCap)
 			s.AttachTrace(tr)
 			if _, err := s.HammerPatternFor(c.Pattern, c.Config, 0, 1000, c.Budget.DurationNS); err != nil {
-				return nil, err
+				return ReplayRoundTripRow{}, err
 			}
 			sessionFlips := append([]dram.Flip(nil), s.Dev.Flips()...)
 			sessionCounters := s.Dev.Counters()
 			if d := tr.Dropped(); d > 0 {
-				return nil, fmt.Errorf("replay-roundtrip %s: trace ring dropped %d events; raise replayTraceCap", c.Key, d)
+				return ReplayRoundTripRow{}, fmt.Errorf("replay-roundtrip %s: trace ring dropped %d events; raise replayTraceCap", c.Key, d)
 			}
 			var buf bytes.Buffer
 			if err := tr.WriteJSONL(&buf); err != nil {
-				return nil, err
+				return ReplayRoundTripRow{}, err
 			}
 			devSeed := hammer.DeviceSeed(seed)
 			f, err := replay.DecodeBytes(buf.Bytes(), replay.Options{DIMM: c.DIMM.ID, Seed: &devSeed})
 			if err != nil {
-				return nil, err
+				return ReplayRoundTripRow{}, err
 			}
 			v := replay.Run(f)
 			row := ReplayRoundTripRow{
@@ -109,8 +108,7 @@ func replayRoundTripSpec(cfg Config) campaign.Spec {
 				v.Counters.TRRTriggers == sessionCounters.TRRTriggers
 			return row, nil
 		},
-		Gather: func(rs []any) any { return &ReplayRoundTripResult{Rows: gather[ReplayRoundTripRow](rs)} },
-	}
+		func(rows []ReplayRoundTripRow) any { return &ReplayRoundTripResult{Rows: rows} })
 }
 
 // Render implements Renderer.

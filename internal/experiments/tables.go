@@ -24,13 +24,11 @@ type Table1Result struct{ Archs []*arch.Arch }
 // table1Spec reproduces the Table 1 inventory from the architecture
 // profiles.
 func table1Spec(Config) campaign.Spec {
-	return campaign.Spec{
-		Cells: []campaign.Cell{{Key: "inventory"}},
-		Exec: func(campaign.Cell, int64) (any, error) {
+	return campaign.Grid([]campaign.Cell{{Key: "inventory"}},
+		func(campaign.Cell, int64) (*Table1Result, error) {
 			return &Table1Result{Archs: arch.All()}, nil
 		},
-		Gather: single,
-	}
+		only)
 }
 
 // Render implements Renderer.
@@ -49,13 +47,11 @@ type Table2Result struct{ DIMMs []*arch.DIMM }
 
 // table2Spec reproduces the Table 2 inventory from the DIMM profiles.
 func table2Spec(Config) campaign.Spec {
-	return campaign.Spec{
-		Cells: []campaign.Cell{{Key: "inventory"}},
-		Exec: func(campaign.Cell, int64) (any, error) {
+	return campaign.Grid([]campaign.Cell{{Key: "inventory"}},
+		func(campaign.Cell, int64) (*Table2Result, error) {
 			return &Table2Result{DIMMs: arch.AllDIMMs()}, nil
 		},
-		Gather: single,
-	}
+		only)
 }
 
 // Render implements Renderer.
@@ -119,16 +115,14 @@ func table3Spec(cfg Config) campaign.Spec {
 			})
 		}
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: sweepCell(func(c campaign.Cell, _ *hammer.Session, res sweep.Result) any {
+	return campaign.Grid(cells,
+		sweepCell(func(c campaign.Cell, _ *hammer.Session, res sweep.Result) Table3Row {
 			return Table3Row{
 				Arch: c.Arch.Name, Barrier: c.Aux.(string),
 				Flips: res.TotalFlips, TimeMS: res.TimeNS / 1e6,
 			}
 		}),
-		Gather: func(rs []any) any { return &Table3Result{Rows: gather[Table3Row](rs)} },
-	}
+		func(rows []Table3Row) any { return &Table3Result{Rows: rows} })
 }
 
 // Render implements Renderer.
@@ -172,9 +166,8 @@ func table4Spec(Config) campaign.Spec {
 			Arch: c.a, DIMM: dimmWithSize(c.size),
 		})
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (Table4Row, error) {
 			truth, _ := mapping.ForPlatform(c.Arch.MappingFamily, c.DIMM.SizeGiB)
 			meas, pool := newMeasurerFor(c.Arch, c.DIMM, seed)
 			res := reverse.Recover(meas, pool, reverse.Options{})
@@ -188,8 +181,7 @@ func table4Spec(Config) campaign.Spec {
 			}
 			return row, nil
 		},
-		Gather: func(rs []any) any { return &Table4Result{Rows: gather[Table4Row](rs)} },
-	}
+		func(rows []Table4Row) any { return &Table4Result{Rows: rows} })
 }
 
 // dimmWithSize returns a DIMM profile of the requested capacity.
@@ -270,9 +262,8 @@ func table5Spec(cfg Config) campaign.Spec {
 			})
 		}
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (Table5Cell, error) {
 			tool := c.Aux.(string)
 			run := reverseTool(tool)
 			truth, _ := mapping.ForPlatform(c.Arch.MappingFamily, c.DIMM.SizeGiB)
@@ -291,8 +282,7 @@ func table5Spec(cfg Config) campaign.Spec {
 			}
 			return cell, nil
 		},
-		Gather: func(rs []any) any { return &Table5Result{Cells: gather[Table5Cell](rs)} },
-	}
+		func(cells []Table5Cell) any { return &Table5Result{Cells: cells} })
 }
 
 // sameFuncs compares only the bank-function sets: DRAMA and DARE do not
@@ -377,20 +367,18 @@ func table6Spec(cfg Config) campaign.Spec {
 			}
 		}
 	}
-	return campaign.Spec{
-		Cells: cells,
-		Exec: func(c campaign.Cell, seed int64) (any, error) {
+	return campaign.Grid(cells,
+		func(c campaign.Cell, seed int64) (Table6Cell, error) {
 			rep, err := FuzzCell(c, seed)
 			if err != nil {
-				return nil, err
+				return Table6Cell{}, err
 			}
 			return Table6Cell{
 				Arch: c.Arch.Name, DIMM: c.DIMM.ID, Strategy: c.Aux.(string),
 				Total: rep.TotalFlips, Best: rep.Best.Flips,
 			}, nil
 		},
-		Gather: func(rs []any) any { return &Table6Result{Cells: gather[Table6Cell](rs)} },
-	}
+		func(cells []Table6Cell) any { return &Table6Result{Cells: cells} })
 }
 
 // Render implements Renderer.

@@ -9,10 +9,11 @@ import (
 
 // TestWireRoundTripsEverySpec executes one cell of every registered
 // spec and pushes its result through the distributed fabric's gob codec,
-// requiring a DeepEqual round trip. This is the gate that keeps
-// internal/experiments/wire.go's registration list in sync with the
-// registry: a new spec whose cell-result type is unregistered (or not
-// gob-encodable) fails here, long before a multi-node run would.
+// requiring a DeepEqual round trip and a result the spec's own check
+// accepts. campaign.Grid registers each spec's result type when the
+// spec is built, so this proves the round trip is lossless: a new spec
+// whose cell-result type gob cannot carry exactly (unexported fields,
+// say) fails here, long before a multi-node run would.
 func TestWireRoundTripsEverySpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("executes one real cell per registered spec")
@@ -40,6 +41,9 @@ func TestWireRoundTripsEverySpec(t *testing.T) {
 			}
 			if !reflect.DeepEqual(result, back) {
 				t.Errorf("cell result of type %T did not survive the wire:\n got %#v\nwant %#v", result, back, result)
+			}
+			if err := spec.CheckResult(back); err != nil {
+				t.Errorf("decoded cell result refused by its spec: %v", err)
 			}
 		})
 	}

@@ -162,18 +162,9 @@ func (v *Verdict) Render(w io.Writer) {
 // derives from (spec seed, cell key) exactly like every other
 // campaign.
 func Spec(f *File) campaign.Spec {
-	return campaign.Spec{
-		Name: "replay/" + f.Hash[:12],
-		Kind: campaign.KindAux,
-		Seed: f.Seed,
-		Cells: []campaign.Cell{{
-			Key: "replay",
-		}},
-		Exec: func(campaign.Cell, int64) (any, error) {
-			return Run(f), nil
-		},
-		Gather: func(results []any) any {
-			return results[0]
-		},
-	}
+	s := campaign.Grid([]campaign.Cell{{Key: "replay"}},
+		func(campaign.Cell, int64) (*Verdict, error) { return Run(f), nil },
+		func(verdicts []*Verdict) any { return verdicts[0] })
+	s.Name, s.Kind, s.Seed = "replay/"+f.Hash[:12], campaign.KindAux, f.Seed
+	return s
 }

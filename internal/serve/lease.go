@@ -511,17 +511,25 @@ func (s *Server) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	// Validate the whole body before touching any state, so a 400
 	// changes nothing: the lease stays held, to be completed or
 	// reclaimed like any other. Each reported cell must be one of the
-	// lease's cells, with its key, at most once.
+	// lease's cells, with its key, at most once, and a successful one
+	// must carry a result the spec can gather.
 	dj, j := l.dj, l.dj.job
 	leased := map[int]bool{}
 	for _, idx := range l.cells {
 		leased[idx] = true
 	}
-	for _, c := range req.Cells {
+	for i, c := range req.Cells {
 		if !leased[c.Index] || j.spec.Cells[c.Index].Key != c.Key {
 			s.mu.Unlock()
 			writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("cell %d/%s is not part of lease %s, or is reported twice", c.Index, c.Key, id)})
 			return
+		}
+		if c.Stat.Err == "" {
+			if err := j.spec.CheckResult(decoded[i]); err != nil {
+				s.mu.Unlock()
+				writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("cell %d/%s: %v", c.Index, c.Key, err)})
+				return
+			}
 		}
 		delete(leased, c.Index)
 	}

@@ -226,15 +226,17 @@ func TestLeaseReclaimFaultInjection(t *testing.T) {
 }
 
 // TestLeaseCompleteRejectsBadBodyWholesale: a completion that fails
-// validation part-way — a cell reported twice, or a valid cell followed
-// by a mismatched key — is a 400 that changes nothing. No cell counts
-// as done and the lease stays held, so a correct completion of the same
-// lease still lands and the job finishes with the standalone bytes
-// instead of wedging with cells in neither the pending queue nor a
-// lease.
+// validation part-way — a cell reported twice, a valid cell followed
+// by a mismatched key, or successful cells whose results the typed
+// spec cannot gather (a wrong-typed gob, or none at all) — is a 400
+// that changes nothing. No cell counts as done and the lease stays
+// held, so a correct completion of the same lease still lands and the
+// job finishes with the standalone bytes instead of wedging with cells
+// in neither the pending queue nor a lease, or crashing the
+// coordinator when the grid is gathered.
 func TestLeaseCompleteRejectsBadBodyWholesale(t *testing.T) {
-	reg := tinyRegistry()
-	want := standaloneEnvelope(t, reg, `{"spec":"tiny","seed":7}`)
+	reg := typedRegistry()
+	want := standaloneEnvelope(t, reg, `{"spec":"typed","seed":7}`)
 	// Drained only once the job is done: a wedged job would block Drain
 	// forever, and the test must fail instead of hanging.
 	s, err := New(Config{Registry: reg, Coordinator: true, LeaseBatch: 4, LeaseTTL: 30 * time.Second})
@@ -246,16 +248,22 @@ func TestLeaseCompleteRejectsBadBodyWholesale(t *testing.T) {
 
 	var wr registerResponse
 	doJSON(t, "POST", ts.URL+"/v1/workers", `{"name":"sloppy"}`, &wr)
-	id := submit(t, ts, `{"spec":"tiny","seed":7}`)
+	id := submit(t, ts, `{"spec":"typed","seed":7}`)
 	grant := acquireLease(t, ts, wr.ID)
 	if len(grant.Cells) != 4 {
 		t.Fatalf("grant has %d cells, want all 4", len(grant.Cells))
 	}
 
-	entry, _ := reg.Lookup("tiny")
+	entry, _ := reg.Lookup("typed")
 	spec := entry.Build(campaign.Params{Seed: 7, Scale: 1})
-	cells := make([]completedCell, 2)
-	for i, c := range grant.Cells[:2] {
+	notARow, err := campaign.EncodeResult("not a row")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]completedCell, 4)
+	wrongType := make([]completedCell, 4)
+	noResult := make([]completedCell, 4)
+	for i, c := range grant.Cells {
 		result, err := spec.Exec(spec.Cells[c.Index], spec.CellSeed(c.Key))
 		if err != nil {
 			t.Fatal(err)
@@ -266,12 +274,16 @@ func TestLeaseCompleteRejectsBadBodyWholesale(t *testing.T) {
 		}
 		cells[i] = completedCell{Index: c.Index, Key: c.Key, Result: data,
 			Stat: campaign.CellStat{Key: c.Key, Seed: spec.CellSeed(c.Key), Attempts: 1}}
+		wrongType[i], noResult[i] = cells[i], cells[i]
+		wrongType[i].Result, noResult[i].Result = notARow, nil
 	}
 	wrongKey := cells[1]
 	wrongKey.Key = "not-" + wrongKey.Key
 	for name, bad := range map[string][]completedCell{
 		"duplicate cell":             {cells[0], cells[0]},
 		"mismatched key after valid": {cells[0], wrongKey},
+		"wrong-typed results":        wrongType,
+		"success without result":     noResult,
 	} {
 		body, _ := jsonBody(completeRequest{Worker: wr.ID, Cells: bad})
 		if code, _ := doJSON(t, "POST", ts.URL+"/v1/leases/"+grant.LeaseID+"/complete", body, nil); code != http.StatusBadRequest {
@@ -343,6 +355,25 @@ func TestWorkerSubSpecVerification(t *testing.T) {
 	}
 	if len(sub.Cells) != 1 || sub.Cells[0].Key != "c" || sub.CellSeed("c") == 0 {
 		t.Errorf("sub-spec = %+v", sub.Cells)
+	}
+}
+
+// TestWorkerLogsRefusedLease: a worker whose registry cannot rebuild a
+// lease's cells refuses the lease loudly — one log line naming the
+// lease, the spec and the mismatch — and lets it expire.
+func TestWorkerLogsRefusedLease(t *testing.T) {
+	logged := captureLog(t)
+	w := &Worker{Registry: tinyRegistry()}
+	pool := campaign.NewPool(1)
+	defer pool.Close()
+	w.serve(context.Background(), pool, &leaseGrant{
+		LeaseID: "lease-000042", JobID: "job-000007", Spec: "tiny", Seed: 7, Scale: 1,
+		Cells: []leaseCell{{Index: 0, Key: "skewed"}},
+	})
+	for _, want := range []string{"refusing lease lease-000042", `spec "tiny"`, `key "skewed"`, "registry skew"} {
+		if !strings.Contains(logged.String(), want) {
+			t.Errorf("log %q does not say %q", logged, want)
+		}
 	}
 }
 

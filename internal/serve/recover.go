@@ -119,6 +119,11 @@ func (s *Server) recoverState(state *store.State) {
 				continue
 			}
 			v, err := campaign.DecodeResult(cell.Result)
+			if err == nil {
+				// A result the spec cannot gather is as unreadable as
+				// one that does not decode: it would fail the job.
+				err = spec.CheckResult(v)
+			}
 			if err != nil {
 				log.Printf("serve: store recovery: job %s cell %s result unreadable; re-running it: %v",
 					j.ID, cell.Key, err)

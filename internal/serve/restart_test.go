@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -266,6 +267,67 @@ func TestRecoveryUnknownSpecFailsLoud(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("failed job has no terminal snapshot")
+	}
+}
+
+// TestRecoveryRerunsUngatherableCell: a store can journal cells whose
+// results the spec cannot gather — a coordinator that did not check
+// completions journaled whatever its workers posted. Recovery re-runs
+// such a cell, with the log line of an unreadable one, so the store
+// boots and the job ends done with the standalone bytes instead of
+// failing, or crashing the coordinator at every restart.
+func TestRecoveryRerunsUngatherableCell(t *testing.T) {
+	reg := typedRegistry()
+	want := standaloneEnvelope(t, reg, `{"spec":"typed","seed":7}`)
+	entry, _ := reg.Lookup("typed")
+	spec := entry.Build(campaign.Params{Seed: 7, Scale: 1})
+
+	dir := t.TempDir()
+	st, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000001"
+	if err := st.AppendJob(store.JobMeta{ID: id, Spec: "typed", Seed: 7, Scale: 1, Created: time.Unix(0, 42).UTC()}); err != nil {
+		t.Fatal(err)
+	}
+	notARow, err := campaign.EncodeResult("not a row")
+	if err != nil {
+		t.Fatal(err)
+	}
+	none, err := campaign.EncodeResult(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cell a is journaled correctly, b and c with results the spec
+	// cannot gather; d never completed.
+	good := parentJournalCell(t, reg, "typed", 7, 0)
+	for i, result := range [][]byte{good.Result, notARow, none} {
+		key := spec.Cells[i].Key
+		if err := st.AppendCell(id, store.CellResult{
+			Index: i, Key: key, Node: "w-001", Result: result,
+			Stat: campaign.CellStat{Key: key, Seed: spec.CellSeed(key), Attempts: 1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	logged := captureLog(t)
+	_, ts := newTestServer(t, Config{Registry: reg, StoreDir: dir})
+	for _, want := range []string{"cell b result unreadable; re-running it", "cell c result unreadable; re-running it", "resumed with 1/4 cells complete"} {
+		if !strings.Contains(logged.String(), want) {
+			t.Errorf("recovery log %q does not say %q", logged, want)
+		}
+	}
+	fin := waitTerminal(t, ts, id)
+	if fin.State != StateDone || !fin.Recovered {
+		t.Fatalf("resumed job = %+v, want a recovered done job", fin)
+	}
+	if code, body := fetch(t, ts.URL+fin.ResultURL); code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Errorf("resumed result = %d, equal to standalone %v", code, bytes.Equal(body, want))
 	}
 }
 

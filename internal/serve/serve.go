@@ -479,8 +479,7 @@ func (s *Server) runLocal(ctx context.Context, j *Job, missing []int) (int, erro
 	if len(missing) == 0 {
 		return 1, nil // recovered with every cell journaled
 	}
-	sub := j.spec
-	sub.Gather = nil // runJob's AssembleOutcome gathers the whole grid
+	sub := j.spec // the pool does not gather; runJob's AssembleOutcome does
 	sub.Cells = make([]campaign.Cell, len(missing))
 	for k, i := range missing {
 		sub.Cells[k] = j.spec.Cells[i]

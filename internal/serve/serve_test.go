@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -41,6 +42,41 @@ func tinyRegistry() *campaign.Registry {
 		},
 	})
 	return r
+}
+
+// tinyRow is typedRegistry's cell result.
+type tinyRow struct {
+	Key  string
+	Seed int64
+}
+
+// typedRegistry registers "typed": tiny's four cells built with
+// campaign.Grid, each returning a tinyRow, so a cell result of any
+// other type fails the spec's check.
+func typedRegistry() *campaign.Registry {
+	r := campaign.NewRegistry()
+	r.Register(campaign.Entry{
+		Name: "typed", Kind: campaign.KindAux, Title: "four typed cells",
+		Build: func(p campaign.Params) campaign.Spec {
+			s := campaign.Grid([]campaign.Cell{{Key: "a"}, {Key: "b"}, {Key: "c"}, {Key: "d"}},
+				func(c campaign.Cell, seed int64) (tinyRow, error) { return tinyRow{c.Key, seed}, nil },
+				func(rows []tinyRow) any { return rows })
+			s.Name, s.Kind, s.Seed = "typed", campaign.KindAux, p.Seed
+			return s
+		},
+	})
+	return r
+}
+
+// captureLog sends the standard logger's output to the returned buffer
+// until the test ends.
+func captureLog(t *testing.T) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&buf)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	return &buf
 }
 
 // blockingRegistry registers a one-cell spec that blocks until gate is
@@ -585,7 +621,7 @@ func writeParentJournal(t *testing.T, dir, id, spec string, seed int64, parallel
 // job record names (journals from servers that took a per-job
 // parallel value carry it; it no longer chooses a pool). The spec
 // gathers results[0], as the registered one-cell experiments do, so a
-// Gather over an empty sub-grid panics.
+// gather over an empty sub-grid would panic.
 func TestRecoveredJobWithEveryCellJournaled(t *testing.T) {
 	for _, parallel := range []int{0, 2} {
 		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
@@ -594,15 +630,14 @@ func TestRecoveredJobWithEveryCellJournaled(t *testing.T) {
 			reg.Register(campaign.Entry{
 				Name: "single", Kind: campaign.KindAux, Title: "one gathered cell",
 				Build: func(p campaign.Params) campaign.Spec {
-					return campaign.Spec{
-						Name: "single", Kind: campaign.KindAux, Seed: p.Seed,
-						Cells: []campaign.Cell{{Key: "only"}},
-						Exec: func(c campaign.Cell, seed int64) (any, error) {
+					s := campaign.Grid([]campaign.Cell{{Key: "only"}},
+						func(c campaign.Cell, seed int64) (string, error) {
 							execs.Add(1)
 							return fmt.Sprintf("%s#%d", c.Key, seed), nil
 						},
-						Gather: func(results []any) any { return results[0] },
-					}
+						func(results []string) any { return results[0] })
+					s.Name, s.Kind, s.Seed = "single", campaign.KindAux, p.Seed
+					return s
 				},
 			})
 			want := standaloneEnvelope(t, reg, `{"spec":"single","seed":7}`)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -171,6 +172,8 @@ func (w *Worker) serve(ctx context.Context, pool *campaign.Pool, grant *leaseGra
 	if err != nil {
 		// A spec mismatch is unrecoverable for this lease; let it expire
 		// so the coordinator re-leases (possibly to a compatible worker).
+		log.Printf("serve: worker %s: refusing lease %s of spec %q (job %s): %v",
+			w.ID(), grant.LeaseID, grant.Spec, grant.JobID, err)
 		return
 	}
 
